@@ -28,14 +28,7 @@ rollout throughput, paired reps within one run) must stay at or above
 Being within-run it gates on every platform; being absolute it cannot
 drift downward one tolerated baseline bump at a time.
 
-A fourth check is an **absolute ceiling** on the same within-run
-pattern: ``ipc.bytes_shm_over_inline`` (bytes actually written to the
-worker pipes under the shm transport over the same traffic inline-
-pickled) must stay at or below ``--ipc-ceiling`` (default 0.25 — "shm
-keeps at least 4x of the array traffic off the pipes").  Byte counts
-are exact, so no tolerance applies; 0 disables the check.
-
-A fifth check is an **absolute floor** on the serving layer:
+A fourth check is an **absolute floor** on the serving layer:
 ``serving.served_over_direct`` (closed-loop requests/sec through the
 daemon's socket front end over the same submission streams dispatched
 to the router in-process, within one run) must stay at or above
@@ -134,11 +127,6 @@ def main(argv=None) -> int:
                              "served-over-direct request-throughput ratio "
                              "of the serving daemon (socket front end vs "
                              "in-process dispatch); 0 disables the check")
-    parser.add_argument("--ipc-ceiling", type=float, default=0.25,
-                        help="absolute ceiling for the within-run "
-                             "shm-over-inline pipe-byte ratio (0.25 = shm "
-                             "moves at least 4x of the array bytes out of "
-                             "band); 0 disables the check")
     args = parser.parse_args(argv)
 
     if not 0 <= args.tolerance < 1:
@@ -147,8 +135,6 @@ def main(argv=None) -> int:
         parser.error("ratio-tolerance must be in [0, 1)")
     if not 0 <= args.telemetry_floor <= 1:
         parser.error("telemetry-floor must be in [0, 1]")
-    if not 0 <= args.ipc_ceiling <= 1:
-        parser.error("ipc-ceiling must be in [0, 1]")
     if not 0 <= args.serving_floor <= 1:
         parser.error("serving-floor must be in [0, 1]")
 
@@ -221,26 +207,6 @@ def main(argv=None) -> int:
                   f"{args.telemetry_floor:.2f}) — instrumentation overhead "
                   "exceeds the budget; this is within-run, so hardware "
                   "differences do not excuse it", file=sys.stderr)
-            failed = True
-
-    # -- shm pipe-byte reduction: absolute within-run ceiling ------------
-    ipc = lookup_ratio(cur, "ipc", "bytes_shm_over_inline")
-    if args.ipc_ceiling == 0:
-        print("[bench-check] ipc.bytes_shm_over_inline: check disabled")
-    elif ipc is None:
-        print("[bench-check] ipc.bytes_shm_over_inline: missing from "
-              "current run; skipping ipc check")
-    else:
-        print(f"[bench-check] scale={args.scale} "
-              f"ipc.bytes_shm_over_inline: {ipc:.3f} "
-              f"(ceiling {args.ipc_ceiling:.2f})")
-        if ipc > args.ipc_ceiling:
-            print(f"[bench-check] FAIL: the shm transport still writes "
-                  f"{ipc:.3f}x of the inline byte volume to the worker "
-                  f"pipes (> {args.ipc_ceiling:.2f}) — large arrays are "
-                  "leaking back in-band; this is an exact within-run byte "
-                  "count, so hardware differences do not excuse it",
-                  file=sys.stderr)
             failed = True
 
     # -- serving wire-layer overhead: absolute within-run floor ----------

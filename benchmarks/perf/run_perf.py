@@ -492,54 +492,6 @@ def rollout_locked_vs_actor_1w(agent, env_cfg, n_procs, sequences, n_envs,
         vec.close()
 
 
-def bench_ipc(agent, env_cfg, n_procs, sequences, n_envs, epochs=3):
-    """Bytes-over-pipe comparison of the two array transports.
-
-    Drives the identical actor training flow — install, per-epoch episode
-    submit/drain, weight re-broadcast — through a 1-worker process
-    backend under each transport, with telemetry counting the bytes each
-    side actually writes (``runtime.ipc.bytes_inline``) and the bytes the
-    shm codec moved out-of-band instead (``runtime.ipc.bytes_shm``).
-    ``bytes_shm_over_inline`` — pipe bytes under shm over pipe bytes
-    under inline pickling — is a pure byte-count ratio, hardware-
-    independent, and gated in ``check_regression.py`` (ceiling 0.25,
-    i.e. shm must keep at least 4x of the array traffic off the pipes).
-    Encode seconds come from the ``runtime.ipc.encode`` span both sides
-    record around ``ArrayCodec.dumps``.
-    """
-    from repro.runtime import ActorRuntime
-
-    width = max(1, min(n_envs, len(sequences)))
-    out = {}
-    for transport in ("pipe", "shm"):
-        runtime = RuntimeConfig(backend="process", workers=1,
-                                transport=transport)
-        with telemetry.session() as reg:
-            actors = ActorRuntime(n_procs, "bsld", config=env_cfg,
-                                  runtime=runtime, n_envs=width, seed=2)
-            try:
-                actors.install(agent.policy, agent.value)
-                for epoch in range(epochs):
-                    actors.submit(epoch, list(enumerate(sequences)))
-                    for _ in range(len(sequences)):
-                        actors.drain()
-                    actors.push_weights(epoch + 1, agent.export_weights())
-            finally:
-                actors.close()
-            snap = reg.snapshot().aggregated()
-        out[transport] = {
-            "bytes_inline": int(snap.counters.get("runtime.ipc.bytes_inline", 0)),
-            "bytes_shm": int(snap.counters.get("runtime.ipc.bytes_shm", 0)),
-            "encode_sec_per_epoch": (
-                snap.spans.get("runtime.ipc.encode", {}).get("sum", 0.0) / epochs
-            ),
-        }
-    out["bytes_shm_over_inline"] = (
-        out["shm"]["bytes_inline"] / out["pipe"]["bytes_inline"]
-    )
-    return out
-
-
 def bench_runtime_scaling(agent, env_cfg, trace, sequences, n_envs,
                           eval_seqs, eval_len, workers_list=(1, 2, 4)):
     """Worker scaling of rollouts (sharded vec env) and evaluation
@@ -918,14 +870,6 @@ def main(argv=None):
           + ", ".join(f"{w}w {v:,.1f}" for w, v in er["process"].items())
           + f" ({er['speedup_at_max_workers']:.2f}x at max workers)")
 
-    ipc_report = bench_ipc(
-        agent, env_cfg, trace.max_procs, sequences[:min(4, n_seqs)], n_envs,
-    )
-    print(f"[perf] ipc: pipe bytes {ipc_report['pipe']['bytes_inline']:,}; "
-          f"shm pipe bytes {ipc_report['shm']['bytes_inline']:,} "
-          f"+ {ipc_report['shm']['bytes_shm']:,} out-of-band "
-          f"({ipc_report['bytes_shm_over_inline']:.3f}x of inline)")
-
     serving_report = bench_serving(trace, max(100, min(500, n_jobs // 4)))
     print(f"[perf] serving: {serving_report['requests_per_sec']:,.0f} req/s "
           f"over the socket vs {serving_report['direct_requests_per_sec']:,.0f} "
@@ -956,7 +900,6 @@ def main(argv=None):
         "ppo_update": ppo_report,
         "telemetry": telemetry_report,
         "runtime": runtime_report,
-        "ipc": ipc_report,
         "serving": serving_report,
         "platform": {
             "python": platform.python_version(),

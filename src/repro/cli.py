@@ -161,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path to a saved RL policy (.npz) to include")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan sequences over N worker processes (1 = serial)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport: pickled pipes (reference) "
-                        "or the zero-copy shared-memory plane (same "
-                        "results, far fewer pipe bytes)")
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
@@ -190,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan matrix cells over N worker processes")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport (see evaluate --transport)")
     p.add_argument("-o", "--output", default=None,
                    help="write the matrix as JSON")
 
@@ -215,18 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swf-dir", default=None)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="shard rollout envs over N worker processes (1 = serial)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport (see evaluate --transport); "
-                        "applies to rollout, actor, and gradient workers")
     p.add_argument("--update-path", choices=["dense", "sparse"],
                    default="dense",
                    help="PPO update arithmetic: dense padded logits "
                         "(reference) or segment-batched sparse autograd "
                         "(kernel policy only, much faster at large "
                         "MAX_OBSV_SIZE)")
-    p.add_argument("--grad-workers", type=_positive_int, default=1,
-                   help="shard minibatch gradients over N worker processes "
-                        "(1 = in-process backward)")
     p.add_argument("--rollout-mode", choices=["locked", "async"],
                    default="locked",
                    help="rollout collection: lock-step vectorized envs "
@@ -289,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for training rollouts and the "
                         "evaluation fan-out (1 = serial)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport (see evaluate --transport)")
     p.add_argument("--rollout-mode", choices=["locked", "async"],
                    default="locked",
                    help="training rollout collection for every zoo policy "
@@ -427,7 +413,7 @@ def _cmd_evaluate(args) -> int:
         print("evaluate: pass a trace name or --scenario (not both)",
               file=sys.stderr)
         return 2
-    runtime = RuntimeConfig.from_workers(args.workers, transport=args.transport)
+    runtime = RuntimeConfig.from_workers(args.workers)
     schedulers = [cls() for cls in HEURISTICS.values()]
     if args.scenario:
         scen = get_scenario(args.scenario)  # fail fast on unknown names
@@ -495,7 +481,7 @@ def _cmd_compare(args) -> int:
     config = EvalConfig(
         n_sequences=args.sequences, sequence_length=args.length,
         seed=args.seed,
-        runtime=RuntimeConfig.from_workers(args.workers, transport=args.transport),
+        runtime=RuntimeConfig.from_workers(args.workers),
     )
     matrix = scenario_matrix(
         scheds, names, metric=args.metric,
@@ -570,10 +556,7 @@ def _cmd_train(args) -> int:
             trajectory_length=args.length,
             seed=args.seed,
             use_trajectory_filter=args.filter,
-            runtime=RuntimeConfig.from_workers(
-                args.workers, transport=args.transport
-            ),
-            grad_workers=args.grad_workers,
+            runtime=RuntimeConfig.from_workers(args.workers),
             rollout_mode=args.rollout_mode,
             staleness=args.staleness,
             stale_mode=args.stale_mode,
@@ -628,7 +611,7 @@ def _cmd_study(args) -> int:
         n_sequences=args.sequences,
         sequence_length=args.eval_length,
         on_mismatch=args.on_mismatch,
-        runtime=RuntimeConfig.from_workers(args.workers, transport=args.transport),
+        runtime=RuntimeConfig.from_workers(args.workers),
         rollout_mode=args.rollout_mode,
         staleness=args.staleness,
         telemetry=_telemetry_config(args),

@@ -74,30 +74,15 @@ class RuntimeConfig:
     out over ``workers`` persistent ``multiprocessing`` workers.  Both
     produce bit-identical results for the same seeds — the backend is a
     pure throughput knob, pinned by the runtime golden tests.
-
-    ``transport`` selects how process workers exchange array payloads:
-    ``"pipe"`` (the bit-identical reference) ships everything through the
-    pickled pipe messages; ``"shm"`` spills large ndarray payloads
-    out-of-band into a :class:`repro.runtime.SharedArrayPool` so pipes
-    carry only small control messages and (segment, offset, shape,
-    dtype) descriptors.  Results are bit-identical either way — the
-    transport is a pure bytes-over-pipe knob, pinned like the backend —
-    and unpicklable/small payloads fall back losslessly to the inline
-    path.  The serial backend ignores it (nothing crosses a process).
     """
 
     #: accepted execution backends
     BACKENDS = ("serial", "process")
-    #: accepted array transports for the process backend
-    TRANSPORTS = ("pipe", "shm")
 
     backend: str = "serial"
     workers: int = 1
     #: tasks per map dispatch; None picks ~4 chunks per worker
     chunksize: int | None = None
-    #: array transport between processes: inline pickles ("pipe") or the
-    #: zero-copy shared-memory plane ("shm")
-    transport: str = "pipe"
 
     def __post_init__(self) -> None:
         if self.backend not in self.BACKENDS:
@@ -108,26 +93,17 @@ class RuntimeConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunksize is not None and self.chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
-        if self.transport not in self.TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {self.TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
 
     @classmethod
     def from_workers(
-        cls,
-        workers: int,
-        chunksize: int | None = None,
-        transport: str = "pipe",
+        cls, workers: int, chunksize: int | None = None
     ) -> "RuntimeConfig":
         """The CLI convention: ``--workers N`` means a process pool for
         N > 1 and the serial backend for N == 1."""
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         backend = "process" if workers > 1 else "serial"
-        return cls(backend=backend, workers=workers, chunksize=chunksize,
-                   transport=transport)
+        return cls(backend=backend, workers=workers, chunksize=chunksize)
 
 
 @dataclass(frozen=True)
@@ -291,11 +267,6 @@ class TrainConfig:
     #: do the off-policy correction.  Both are counted in the
     #: :class:`~repro.rl.trainer.EpochRecord`.
     stale_mode: str = "drop"
-    #: shard minibatch gradient computation over this many workers
-    #: (> 1 spawns a process pool holding policy/value replicas; gradients
-    #: are reduced in the parent before each optimizer step).  1 = the
-    #: plain in-process update.
-    grad_workers: int = 1
     #: train inside a named scenario (workload + cluster); None = caller
     #: supplies the trace and cluster explicitly
     scenario: ScenarioConfig | None = None
@@ -307,10 +278,6 @@ class TrainConfig:
             raise ValueError("training sizes must be positive")
         if self.n_envs <= 0:
             raise ValueError("n_envs must be positive")
-        if self.grad_workers < 1:
-            raise ValueError(
-                f"grad_workers must be >= 1, got {self.grad_workers}"
-            )
         if self.rollout_mode not in self.ROLLOUT_MODES:
             raise ValueError(
                 f"rollout_mode must be one of {self.ROLLOUT_MODES}, "

@@ -13,12 +13,11 @@ peak memory stays bounded on full paper-scale batches (25,600 steps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from repro.config import PPOConfig, RuntimeConfig
+from repro.config import PPOConfig
 from repro.nn import (
     Adam,
     Module,
@@ -34,7 +33,6 @@ from repro.nn import (
     segment_sum,
     valid_rows,
 )
-from repro.runtime.grad import GradientReducer
 from repro.telemetry import core as _telemetry
 
 __all__ = ["PPOAgent", "UpdateStats"]
@@ -94,46 +92,12 @@ def _policy_terms(
     return surrogate, ent_rows, logp
 
 
-def _policy_shard_loss(
-    policy: Module,
-    shard: dict[str, np.ndarray],
-    clip_ratio: float = 0.2,
-    entropy_coef: float = 0.0,
-    update_path: str = "dense",
-) -> tuple[Tensor, dict[str, float]]:
-    """Sum-reduced policy loss on one shard (GradientReducer contract)."""
-    surrogate, ent_rows, logp = _policy_terms(
-        policy, shard, clip_ratio, update_path
-    )
-    loss_sum = -surrogate.sum()
-    ent_sum = ent_rows.sum()
-    if entropy_coef > 0:
-        loss_sum = loss_sum - entropy_coef * ent_sum
-    aux = {
-        "loss": float(loss_sum.item()),
-        "kl": float(np.sum(shard["log_probs"] - logp.numpy())),
-        "entropy": float(ent_sum.item()),
-    }
-    return loss_sum, aux
-
-
-def _value_shard_loss(
-    value: Module, shard: dict[str, np.ndarray]
-) -> tuple[Tensor, dict[str, float]]:
-    """Sum-reduced value-regression loss on one shard."""
-    values = value(shard["obs"])
-    loss_sum = ((values - Tensor(shard["returns"])) ** 2.0).sum()
-    return loss_sum, {"loss": float(loss_sum.item())}
-
-
 class PPOAgent:
     """Actor-critic agent with PPO-clip updates.
 
     ``config.update_path`` selects the dense reference update or the
     segment-batched sparse one (needs a policy exposing
-    ``score_rows_grad``, i.e. :class:`KernelPolicy`).  ``grad_runtime``
-    shards minibatch gradients across runtime workers (data-parallel;
-    ``None`` keeps the classic in-process backward pass).
+    ``score_rows_grad``, i.e. :class:`KernelPolicy`).
     """
 
     def __init__(
@@ -142,7 +106,6 @@ class PPOAgent:
         value: Module,
         config: PPOConfig | None = None,
         seed: int = 0,
-        grad_runtime: RuntimeConfig | None = None,
     ):
         self.policy = policy
         self.value = value
@@ -158,23 +121,6 @@ class PPOAgent:
         self.rng = np.random.default_rng(seed)
         self.pi_optimizer = Adam(policy.parameters(), lr=self.config.pi_lr)
         self.v_optimizer = Adam(value.parameters(), lr=self.config.vf_lr)
-        self._grad_runtime = grad_runtime
-        self._grad_reducer: GradientReducer | None = None
-
-    def _reducer(self) -> GradientReducer:
-        """Lazily build the gradient reducer and install module replicas."""
-        if self._grad_reducer is None:
-            self._grad_reducer = GradientReducer(self._grad_runtime)
-            self._grad_reducer.install(
-                {"policy": self.policy, "value": self.value}
-            )
-        return self._grad_reducer
-
-    def close(self) -> None:
-        """Release the gradient-reduction workers (no-op when unsharded)."""
-        if self._grad_reducer is not None:
-            self._grad_reducer.close()
-            self._grad_reducer = None
 
     # ------------------------------------------------------------------
     # weight snapshots (actor-runtime weight streaming)
@@ -380,8 +326,6 @@ class PPOAgent:
             k: data[k][idx]
             for k in ("obs", "masks", "actions", "log_probs", "advantages")
         }
-        if self._grad_runtime is not None:
-            return self._policy_step_sharded(batch)
 
         surrogate, ent_rows, logp = _policy_terms(
             self.policy, batch, cfg.clip_ratio, cfg.update_path
@@ -408,31 +352,8 @@ class PPOAgent:
         kl = float(np.mean(batch["log_probs"] - logp.numpy()))
         return float(loss.item()), kl, float(ent.item())
 
-    def _policy_step_sharded(
-        self, batch: dict[str, np.ndarray]
-    ) -> tuple[float, float, float]:
-        cfg = self.config
-        loss_fn = partial(
-            _policy_shard_loss,
-            clip_ratio=cfg.clip_ratio,
-            entropy_coef=cfg.entropy_coef,
-            update_path=cfg.update_path,
-        )
-        grads, aux, n = self._reducer().grad_sums(
-            "policy", self.policy, loss_fn, batch
-        )
-        self._apply_grads(self.pi_optimizer, grads, n)
-        return aux["loss"] / n, aux["kl"] / n, aux["entropy"] / n
-
     def _value_step(self, data: dict[str, np.ndarray], idx: np.ndarray) -> float:
         obs = data["obs"][idx]
-        if self._grad_runtime is not None:
-            batch = {"obs": obs, "returns": data["returns"][idx]}
-            grads, aux, n = self._reducer().grad_sums(
-                "value", self.value, _value_shard_loss, batch
-            )
-            self._apply_grads(self.v_optimizer, grads, n)
-            return aux["loss"] / n
         returns = Tensor(data["returns"][idx])
         values = self.value(obs)
         loss = ((values - returns) ** 2.0).mean()
@@ -441,10 +362,3 @@ class PPOAgent:
         clip_grad_norm(self.v_optimizer.params, self.config.max_grad_norm)
         self.v_optimizer.step()
         return float(loss.item())
-
-    def _apply_grads(self, optimizer: Adam, grads: list, n: int) -> None:
-        """Load mean-loss gradients into the params, clip, and step."""
-        for p, g in zip(optimizer.params, grads):
-            p.grad = g / n
-        clip_grad_norm(optimizer.params, self.config.max_grad_norm)
-        optimizer.step()

@@ -69,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
+from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.telemetry import core as _telemetry
 from repro.telemetry.sink import TelemetrySink, render_summary
 from repro.nn import Module, ValueMLP, make_policy
@@ -331,23 +331,7 @@ class Trainer:
         seed = self.train_config.seed
         self.policy = policy or make_policy(policy_preset, m, f, seed=seed)
         self.value = ValueMLP(m, f, seed=seed + 1)
-        # grad_workers > 1 shards minibatch gradients over a process pool;
-        # 1 keeps the classic in-process backward (grad_runtime=None).
-        grad_runtime = (
-            RuntimeConfig.from_workers(
-                self.train_config.grad_workers,
-                transport=self.train_config.runtime.transport,
-            )
-            if self.train_config.grad_workers > 1
-            else None
-        )
-        self.agent = PPOAgent(
-            self.policy,
-            self.value,
-            self.ppo_config,
-            seed=seed,
-            grad_runtime=grad_runtime,
-        )
+        self.agent = PPOAgent(self.policy, self.value, self.ppo_config, seed=seed)
         self.sampler = SequenceSampler(
             trace, self.train_config.trajectory_length, seed=seed
         )
@@ -818,8 +802,7 @@ class Trainer:
         return float(np.mean(rewards))
 
     def close(self) -> None:
-        """Release rollout, actor and gradient workers (no-op if never
-        spawned).
+        """Release rollout and actor workers (no-op if never spawned).
 
         Chained ``finally`` blocks: a teardown failure in one subsystem
         must not leak the others' worker processes — this is what lets the
@@ -835,15 +818,12 @@ class Trainer:
                     self._actor_runtime.close()
                     self._actor_runtime = None
             finally:
-                try:
-                    self.agent.close()
-                finally:
-                    if self._sink is not None:
-                        self._sink.close()
-                        self._sink = None
-                    if self._owns_telemetry:
-                        _telemetry.set_active(self._tel_prev)
-                        self._owns_telemetry = False
+                if self._sink is not None:
+                    self._sink.close()
+                    self._sink = None
+                if self._owns_telemetry:
+                    _telemetry.set_active(self._tel_prev)
+                    self._owns_telemetry = False
 
     def __enter__(self) -> "Trainer":
         return self

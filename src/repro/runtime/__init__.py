@@ -21,12 +21,10 @@ keeps process-pool rollouts bit-identical to serial ones.
 
 from .actor import ActorRuntime, EpisodeSlice
 from .backend import ExecutionBackend, WorkerError, make_backend
-from .grad import GradientReducer, shard_bounds
 from .process_pool import ProcessPoolBackend
 from .seeding import derive_streams, stream_rng, task_seed
 from .serial import SerialBackend
 from .sharded_env import ShardedVecSchedGym
-from .shm import ArrayCodec, SharedArrayPool
 
 __all__ = [
     "ExecutionBackend",
@@ -34,13 +32,9 @@ __all__ = [
     "make_backend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SharedArrayPool",
-    "ArrayCodec",
     "ShardedVecSchedGym",
     "ActorRuntime",
     "EpisodeSlice",
-    "GradientReducer",
-    "shard_bounds",
     "stream_rng",
     "derive_streams",
     "task_seed",

@@ -460,8 +460,8 @@ class ActorRuntime:
             raise ValueError(
                 f"weight version must not decrease: {version} < {self._version}"
             )
-        # post_all encodes the snapshot once for all workers (one pool
-        # span under transport="shm") instead of n_workers pipe copies
+        # post_all encodes the snapshot once for all workers instead of
+        # n_workers pipe copies
         self.backend.post_all(_actor_load_weights, version, snapshot)
         for w in range(self.n_workers):
             self._kinds[w].append(("weights", 0))

@@ -131,8 +131,7 @@ class ExecutionBackend(abc.ABC):
         ``workers`` defaults to ``range(len(per_worker_args))``.  Results
         come back ordered like ``workers``.  ``shared`` arguments are
         identical for every worker and are serialized **once** per call
-        on process backends (and spilled to shared memory once under
-        ``transport="shm"``) — put the big common payloads (weight
+        on process backends — put the big common payloads (weight
         snapshots) there and the per-worker variation (shards) in
         ``per_worker_args``.
         """
@@ -289,4 +288,4 @@ def make_backend(config=None, workers: int | None = None) -> ExecutionBackend:
         raise ValueError(f"workers must be >= 1, got {n}")
     if config.backend == "serial":
         return SerialBackend(n)
-    return ProcessPoolBackend(n, transport=config.transport)
+    return ProcessPoolBackend(n)

@@ -21,17 +21,10 @@ Workers encode queue payloads eagerly so an unencodable result fails
 *synchronously* in the worker — shipped back as an error — rather than
 asynchronously wedging the queue's feeder thread.
 
-Every message — pipe or queue, either direction — is encoded by an
-:class:`repro.runtime.shm.ArrayCodec` and moved with ``send_bytes``/
-``recv_bytes``.  Under ``transport="pipe"`` the codec is plain pickle
-(the bit-identical reference).  Under ``transport="shm"`` large ndarray
-payloads spill out-of-band into a :class:`~repro.runtime.shm
-.SharedArrayPool` shared with the workers, so the pipes carry only small
-skeletons and span descriptors; small or unpicklable payloads fall back
-losslessly to the inline path.  Results are bit-identical either way.
-The parent owns the pool: it is created at start, destroyed at close,
-and leases owned by a worker that died mid-task are reclaimed when the
-death is detected.
+Every message — pipe or queue, either direction — is pickled once and
+moved with ``send_bytes``/``recv_bytes``.  Arguments common to several
+workers (``scatter(shared=...)``, ``broadcast``, ``post_all``) are
+pickled once per call and the same bytes are written to every pipe.
 
 Task functions and their arguments must be picklable; define worker
 functions at module top level.  Exceptions raised in a worker come back
@@ -45,8 +38,7 @@ as replies drain, so per-worker telemetry (IPC queue wait, task and
 encode time, plus whatever the task functions record) aggregates without
 any extra round trips.  Both sides count the bytes they actually write
 (``runtime.ipc.bytes_inline``) and time their encodes
-(``runtime.ipc.encode``); the codec adds ``runtime.ipc.bytes_shm`` and
-the pool-occupancy gauge.  When telemetry is disabled the extra element
+(``runtime.ipc.encode``).  When telemetry is disabled the extra element
 is ``None`` and the worker loop does no timing at all.
 """
 
@@ -62,15 +54,15 @@ from typing import Sequence
 from repro.telemetry import core as _telemetry
 
 from .backend import ExecutionBackend, TaskFn, WorkerError
-from .shm import ArrayCodec, SharedArrayPool
 
 __all__ = ["ProcessPoolBackend"]
 
 #: wire sentinel: decoded message is None -> worker exits its loop
 _SHUTDOWN = None
 
-#: transports accepted by the backend (mirrors RuntimeConfig.TRANSPORTS)
-_TRANSPORTS = ("pipe", "shm")
+
+def _dumps(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _worker_main(
@@ -78,7 +70,6 @@ def _worker_main(
     result_queue,
     worker_id: int,
     telemetry_enabled: bool = False,
-    pool: SharedArrayPool | None = None,
 ) -> None:
     """Command loop: ``(fn, args, via_queue, shared_wire)`` in, results out.
 
@@ -86,16 +77,12 @@ def _worker_main(
     ``("ok", result, tel) | ("err", exc, tel)``; ``via_queue=True``
     (posted tasks) puts a pre-encoded ``(worker_id, status, payload,
     tel)`` blob on the shared result queue instead.  ``shared_wire`` is
-    an optional codec-encoded tuple of arguments common to several
-    workers (scatter ``shared=``), prepended to ``args`` after decode.
+    an optional pickled tuple of arguments common to several workers
+    (scatter ``shared=``), prepended to ``args`` after decode.
     ``tel`` is the worker's telemetry snapshot delta (or ``None`` when
     disabled/empty).
     """
-    codec = ArrayCodec(pool)
     state: dict = {}
-    if pool is not None:
-        # tasks (and crash-reclaim tests) may lease spans themselves
-        state["_shm_pool"] = pool
     reg = None
     if telemetry_enabled:
         reg = _telemetry.Telemetry(enabled=True)
@@ -108,29 +95,28 @@ def _worker_main(
         try:
             if reg is not None:
                 t0 = perf()
-                wire, _lease = codec.dumps(payload)
+                wire = _dumps(payload)
                 # encode time/bytes for *this* reply ride the next one
                 reg.add_span_time("runtime.ipc.encode", perf() - t0)
                 reg.counter("runtime.ipc.bytes_inline").add(len(wire))
             else:
-                wire, _lease = codec.dumps(payload)
+                wire = _dumps(payload)
             return wire
         except Exception as exc:
             err = RuntimeError(f"unencodable result: {exc}")
             fallback = (
                 (worker_id, "err", err, None) if via_queue else ("err", err, None)
             )
-            wire, _lease = codec.dumps(fallback)
-            return wire
+            return _dumps(fallback)
 
     while True:
         try:
             if reg is not None:
                 t0 = perf()
-                msg = codec.loads(conn.recv_bytes())
+                msg = pickle.loads(conn.recv_bytes())
                 reg.histogram("runtime.ipc.queue_wait_sec").record(perf() - t0)
             else:
-                msg = codec.loads(conn.recv_bytes())
+                msg = pickle.loads(conn.recv_bytes())
         except (EOFError, KeyboardInterrupt):
             break
         if msg is _SHUTDOWN:
@@ -138,7 +124,7 @@ def _worker_main(
         fn, args, via_queue, shared_wire = msg
         try:
             if shared_wire is not None:
-                args = tuple(codec.loads(shared_wire)) + tuple(args)
+                args = tuple(pickle.loads(shared_wire)) + tuple(args)
             if reg is not None:
                 t0 = perf()
                 result = fn(state, *args)
@@ -161,8 +147,6 @@ def _worker_main(
             conn.send_bytes(encode(reply + (tel,), via_queue=False))
             continue
         result_queue.put(encode((worker_id,) + reply + (tel,), via_queue=True))
-    if pool is not None:
-        pool.close()
 
 
 def _map_chunk(state: dict, fn: TaskFn, tasks: list) -> list:
@@ -178,28 +162,18 @@ class ProcessPoolBackend(ExecutionBackend):
     #: seconds to wait for a worker to exit cleanly before terminating it
     JOIN_TIMEOUT = 5.0
 
-    def __init__(self, n_workers: int = 1, transport: str = "pipe"):
+    def __init__(self, n_workers: int = 1):
         super().__init__(n_workers)
-        if transport not in _TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {_TRANSPORTS}, got {transport!r}"
-            )
-        self.transport = transport
         self._procs: list[mp.Process] = []
         self._conns: list[Connection] = []
         self._result_queue = None
         self._posted_counts: list[int] = []
-        self._pool: SharedArrayPool | None = None
-        self._codec = ArrayCodec(None)
 
     # -- lifecycle ------------------------------------------------------
     def _start_impl(self) -> None:
         ctx = mp.get_context()
         self._result_queue = ctx.Queue()
         self._posted_counts = [0] * self.n_workers
-        if self.transport == "shm":
-            self._pool = SharedArrayPool()
-        self._codec = ArrayCodec(self._pool)
         # Workers inherit the parent's telemetry enablement at spawn time;
         # enabling telemetry after the pool starts leaves workers dark.
         telemetry_enabled = _telemetry.enabled()
@@ -207,13 +181,7 @@ class ProcessPoolBackend(ExecutionBackend):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    self._result_queue,
-                    worker_id,
-                    telemetry_enabled,
-                    self._pool,
-                ),
+                args=(child_conn, self._result_queue, worker_id, telemetry_enabled),
                 daemon=True,
             )
             proc.start()
@@ -236,11 +204,11 @@ class ProcessPoolBackend(ExecutionBackend):
                     if self._posted_counts[w] and not proc.is_alive():
                         self._posted_counts[w] = 0
                 continue
-            worker, _status, _payload, _tel = self._codec.loads(blob)
+            worker, _status, _payload, _tel = pickle.loads(blob)
             self._posted_counts[worker] -= 1
         for conn in self._conns:
             try:
-                conn.send_bytes(self._codec.dumps(_SHUTDOWN)[0])
+                conn.send_bytes(_dumps(_SHUTDOWN))
             except (BrokenPipeError, OSError):
                 pass
         for proc in self._procs:
@@ -256,22 +224,18 @@ class ProcessPoolBackend(ExecutionBackend):
         self._procs, self._conns = [], []
         self._result_queue = None
         self._posted_counts = []
-        if self._pool is not None:
-            self._pool.destroy()
-            self._pool = None
-        self._codec = ArrayCodec(None)
 
     # -- wire helpers ---------------------------------------------------
-    def _encode(self, msg, receivers: int = 1):
-        """Codec-encode one parent-side message, timing it when telemetry
-        is on.  Returns ``(wire, lease)``."""
+    @staticmethod
+    def _encode(msg) -> bytes:
+        """Pickle one parent-side message, timing it when telemetry is on."""
         reg = _telemetry.current()
         if not reg.enabled:
-            return self._codec.dumps(msg, receivers)
+            return _dumps(msg)
         t0 = time.perf_counter()
-        wire, lease = self._codec.dumps(msg, receivers)
+        wire = _dumps(msg)
         reg.add_span_time("runtime.ipc.encode", time.perf_counter() - t0)
-        return wire, lease
+        return wire
 
     def _send_wire(self, worker: int, wire: bytes) -> None:
         reg = _telemetry.current()
@@ -283,15 +247,10 @@ class ProcessPoolBackend(ExecutionBackend):
         self, worker: int, fn: TaskFn, args: tuple, via_queue: bool, shared_wire=None
     ) -> None:
         """Encode + write one message.  Encoding failures raise before
-        anything is written (the worker saw nothing); a write failure
-        refunds the message's own pool lease — the worker will never
-        decode it."""
-        wire, lease = self._encode((fn, tuple(args), via_queue, shared_wire))
-        try:
-            self._send_wire(worker, wire)
-        except BaseException:
-            self._codec.discard(lease)
-            raise
+        anything is written (the worker saw nothing)."""
+        self._send_wire(
+            worker, self._encode((fn, tuple(args), via_queue, shared_wire))
+        )
 
     # -- dispatch -------------------------------------------------------
     @staticmethod
@@ -299,19 +258,11 @@ class ProcessPoolBackend(ExecutionBackend):
         if tel is not None:
             _telemetry.current().absorb(tel, worker=worker_id)
 
-    def _reclaim_worker(self, worker_id: int) -> None:
-        """Free pool spans leased by a worker that died mid-task."""
-        if self._pool is not None:
-            proc = self._procs[worker_id]
-            if proc.pid is not None:
-                self._pool.release_owner(proc.pid)
-
     def _recv(self, worker_id: int):
         conn = self._conns[worker_id]
         try:
-            status, payload, tel = self._codec.loads(conn.recv_bytes())
+            status, payload, tel = pickle.loads(conn.recv_bytes())
         except EOFError:
-            self._reclaim_worker(worker_id)
             raise WorkerError(
                 worker_id, RuntimeError("worker died mid-task (pipe closed)")
             ) from None
@@ -332,10 +283,10 @@ class ProcessPoolBackend(ExecutionBackend):
         # call is drained even on failure — in the send loop too — so the
         # pipes stay in sync and the backend remains usable after a task
         # error (a dead worker still surfaces as WorkerError).
-        shared_wire, shared_lease = None, None
+        shared_wire = None
         if shared:
             try:
-                shared_wire, shared_lease = self._encode(shared, len(workers))
+                shared_wire = self._encode(shared)
             except Exception as exc:
                 raise WorkerError(workers[0], exc) from exc
         posted, first_err = [], None
@@ -349,10 +300,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 first_err = WorkerError(w, exc)
                 break
             posted.append(w)
-        # refund shared-payload leases for workers that never got the
-        # message (each delivered copy is consumed by the worker's decode)
-        if shared_lease is not None and len(posted) < len(workers):
-            self._codec.discard(shared_lease, len(workers) - len(posted))
         results = []
         for w in posted:
             try:
@@ -425,22 +372,17 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _post_all_impl(self, fn: TaskFn, args: tuple) -> None:
         # One encode, n_workers writes of the same bytes: the snapshot in
-        # a weight re-broadcast is serialized (and pool-spilled) once.
+        # a weight re-broadcast is serialized once.
         try:
-            wire, lease = self._encode(
-                (fn, tuple(args), True, None), receivers=self.n_workers
-            )
+            wire = self._encode((fn, tuple(args), True, None))
         except Exception as exc:
             raise WorkerError(0, exc) from exc
-        sent = 0
-        try:
-            for worker in range(self.n_workers):
+        for worker in range(self.n_workers):
+            try:
                 self._send_wire(worker, wire)
-                self._posted_counts[worker] += 1
-                sent += 1
-        except Exception as exc:
-            self._codec.discard(lease, self.n_workers - sent)
-            raise WorkerError(sent, exc) from exc
+            except Exception as exc:
+                raise WorkerError(worker, exc) from exc
+            self._posted_counts[worker] += 1
 
     def _next_result_impl(self) -> tuple:
         while True:
@@ -453,12 +395,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 for w, proc in enumerate(self._procs):
                     if self._posted_counts[w] and not proc.is_alive():
                         self._posted_counts[w] = 0
-                        self._reclaim_worker(w)
                         raise WorkerError(
                             w, RuntimeError("worker died with posted task(s) pending")
                         ) from None
                 continue
-            worker, status, payload, tel = self._codec.loads(blob)
+            worker, status, payload, tel = pickle.loads(blob)
             self._posted_counts[worker] -= 1
             self._absorb_telemetry(worker, tel)
             if status == "err":

@@ -36,6 +36,7 @@ generator both speak through them.
 from __future__ import annotations
 
 import json
+import math
 
 from repro.workloads.job import Job
 
@@ -54,14 +55,23 @@ __all__ = [
 PROTOCOL_VERSION = 1
 OPS = ("submit", "status", "stats", "advance", "drain", "ping")
 
+
+def _finite_float(value) -> float:
+    """``float`` that refuses NaN and infinities (``"nan"``, ``1e999``...)."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{value!r} is not finite")
+    return out
+
+
 #: wire job schema: (field, required, converter)
 _JOB_FIELDS = (
     ("job_id", True, int),
-    ("run_time", True, float),
+    ("run_time", True, _finite_float),
     ("requested_procs", True, int),
-    ("submit_time", False, float),
-    ("requested_time", False, float),
-    ("requested_mem", False, float),
+    ("submit_time", False, _finite_float),
+    ("requested_time", False, _finite_float),
+    ("requested_mem", False, _finite_float),
     ("user_id", False, int),
 )
 
@@ -71,8 +81,13 @@ class ProtocolError(ValueError):
 
 
 def encode(msg: dict) -> bytes:
-    """One NDJSON frame (compact separators keep the hot path small)."""
-    return (json.dumps(msg, separators=(",", ":")) + "\n").encode()
+    """One NDJSON frame (compact separators keep the hot path small).
+
+    Strict JSON: a non-finite number raises ``ValueError`` instead of
+    going out as a bare ``NaN``/``Infinity`` token.
+    """
+    text = json.dumps(msg, separators=(",", ":"), allow_nan=False)
+    return (text + "\n").encode()
 
 
 def decode(line: bytes | str) -> dict:
@@ -112,9 +127,9 @@ def job_from_wire(payload) -> Job:
         if field in payload:
             try:
                 kwargs[field] = conv(payload[field])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ProtocolError(
-                    f"job field {field!r} must be numeric, "
+                    f"job field {field!r} must be a finite number, "
                     f"got {payload[field]!r}"
                 ) from None
         elif required:

@@ -1,11 +1,10 @@
 """Tests for the CI bench-regression gate (benchmarks/perf/check_regression.py).
 
-The gate has five kinds of checks: absolute rollout throughput (gates
+The gate has four kinds of checks: absolute rollout throughput (gates
 only on comparable hardware), the within-run speedup ratios — rollout
 vectorization, the sparse-vs-dense PPO update, the async actor advantage
 — which gate on every platform, the absolute telemetry-overhead floor
-(enabled/disabled rollout throughput within one run), the absolute
-shm pipe-byte ceiling (``ipc.bytes_shm_over_inline``), and the absolute
+(enabled/disabled rollout throughput within one run), and the absolute
 serving wire-layer floor (``serving.served_over_direct``).  These tests pin
 the decision table so the CI step stays a real gate rather than a
 decorative one.
@@ -25,7 +24,7 @@ _spec.loader.exec_module(check_regression)
 
 def bench_doc(steps_per_sec, speedup, python="3.11.7", cpu_count=4,
               machine="x86_64", sparse_speedup=3.0, actor_ratio=1.6,
-              telemetry_ratio=0.99, ipc_ratio=0.05, serving_ratio=0.2):
+              telemetry_ratio=0.99, serving_ratio=0.2):
     return {
         "scales": {
             "smoke": {
@@ -41,9 +40,6 @@ def bench_doc(steps_per_sec, speedup, python="3.11.7", cpu_count=4,
                 },
                 "telemetry": {
                     "enabled_over_disabled": telemetry_ratio,
-                },
-                "ipc": {
-                    "bytes_shm_over_inline": ipc_ratio,
                 },
                 "serving": {
                     "served_over_direct": serving_ratio,
@@ -214,41 +210,6 @@ class TestTelemetryFloorGate:
     def test_improvement_never_fails(self, gate):
         assert gate(bench_doc(30000, 5.0),
                     bench_doc(29000, 5.0, telemetry_ratio=1.05)) == 0
-
-
-class TestIpcGate:
-    """``ipc.bytes_shm_over_inline`` gates against an *absolute* ceiling
-    (default 0.25) — the shm transport must keep at least 4x of the
-    array byte volume off the worker pipes, regardless of what the
-    baseline recorded."""
-
-    def test_under_ceiling_passes(self, gate):
-        assert gate(bench_doc(30000, 5.0),
-                    bench_doc(29000, 5.0, ipc_ratio=0.10)) == 0
-
-    def test_over_ceiling_fails_even_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(29000, 5.0, cpu_count=4, ipc_ratio=0.60)
-        assert gate(base, cur) == 1
-
-    def test_ceiling_is_absolute_not_baseline_relative(self, gate):
-        # A degraded baseline must not excuse a degraded current run.
-        base = bench_doc(30000, 5.0, ipc_ratio=0.90)
-        cur = bench_doc(29000, 5.0, ipc_ratio=0.40)
-        assert gate(base, cur) == 1
-
-    def test_ceiling_flag_overrides(self, gate):
-        base = bench_doc(30000, 5.0)
-        cur = bench_doc(29000, 5.0, ipc_ratio=0.40)
-        assert gate(base, cur, "--ipc-ceiling", "0.5") == 0
-        assert gate(base, cur, "--ipc-ceiling", "0") == 0  # disabled
-
-    def test_missing_entry_skips_check(self, gate):
-        # Runs recorded before the shm transport existed have no ipc
-        # section — first run seeds it.
-        cur = bench_doc(29000, 5.0)
-        del cur["scales"]["smoke"]["ipc"]
-        assert gate(bench_doc(30000, 5.0), cur) == 0
 
 
 class TestServingFloorGate:

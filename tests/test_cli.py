@@ -128,13 +128,12 @@ class TestCommands:
         assert code == 0
         assert model.exists()
 
-    def test_train_sparse_with_grad_workers(self, tmp_path, capsys):
+    def test_train_sparse_update_path(self, tmp_path, capsys):
         model = tmp_path / "m.npz"
         code = main([
             "train", "Lublin-1", "--jobs", "600", "--epochs", "1",
             "--trajectories", "2", "--length", "16", "--obsv", "8",
-            "--update-path", "sparse", "--grad-workers", "2",
-            "-o", str(model),
+            "--update-path", "sparse", "-o", str(model),
         ])
         assert code == 0
         assert model.exists()

@@ -20,15 +20,8 @@ from repro.runtime import (
     task_seed,
 )
 
-class ShmProcessPoolBackend(ProcessPoolBackend):
-    """The process pool on the shared-memory array transport — the full
-    dispatch contract must hold identically on both transports."""
 
-    def __init__(self, n_workers: int = 1):
-        super().__init__(n_workers, transport="shm")
-
-
-BACKENDS = [SerialBackend, ProcessPoolBackend, ShmProcessPoolBackend]
+BACKENDS = [SerialBackend, ProcessPoolBackend]
 
 
 # ----------------------------------------------------------------------
@@ -59,6 +52,21 @@ def explode(state, x):
     if x == 3:
         raise ValueError("boom on 3")
     return x
+
+
+class CountingPayload:
+    """Counts how often it is pickled in this (the parent) process;
+    workers only unpickle it."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        CountingPayload.pickled += 1
+        return (CountingPayload, ())
+
+
+def accept(state, payload):
+    return type(payload).__name__
 
 
 @pytest.fixture(params=BACKENDS, ids=lambda c: c.__name__)
@@ -116,22 +124,40 @@ class TestDispatch:
             backend.scatter(explode, [(1,), (3,), (5,)], workers=[0, 1, 2])
         assert backend.scatter(square, [(2,), (3,), (4,)]) == [4, 9, 16]
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_unpicklable_payload_keeps_pipes_in_sync(self, transport):
+    def test_unpicklable_payload_keeps_pipes_in_sync(self):
         # A send-side pickling failure must drain already-posted tasks:
         # otherwise the next dispatch reads a stale reply (silent
         # corruption instead of an error).  Process backend only — the
-        # serial backend never pickles.  Both transports encode before
-        # writing, so the invariant is transport-independent.
-        with ProcessPoolBackend(2, transport=transport) as b:
+        # serial backend never pickles.
+        with ProcessPoolBackend(2) as b:
             with pytest.raises(WorkerError):
                 b.scatter(square, [(2,), (lambda: None,)], workers=[0, 1])
             assert b.scatter(square, [(5,), (6,)]) == [25, 36]
             with pytest.raises(WorkerError):
                 b.map(square, [1, lambda: None, 3], chunksize=1)
             assert b.map(square, [2, 3]) == [4, 9]
-            if b._pool is not None:  # no span left leased by the failure
-                assert b._pool.n_leases == 0
+
+
+class TestSerializeOnce:
+    """Arguments common to every worker are pickled once per call and the
+    same bytes go down every pipe — a weight re-broadcast ships one
+    snapshot, not one per worker."""
+
+    @pytest.fixture(autouse=True)
+    def _reset_count(self):
+        CountingPayload.pickled = 0
+
+    def test_post_all_single_dumps_on_pipe(self):
+        with ProcessPoolBackend(3) as b:
+            b.post_all(accept, CountingPayload())
+            assert CountingPayload.pickled == 1
+            results = sorted(b.next_result() for _ in range(3))
+            assert results == [(w, "CountingPayload") for w in range(3)]
+
+    def test_broadcast_single_dumps_on_pipe(self):
+        with ProcessPoolBackend(3) as b:
+            assert b.broadcast(accept, CountingPayload()) == ["CountingPayload"] * 3
+            assert CountingPayload.pickled == 1
 
 
 class TestLifecycle:
@@ -175,16 +201,6 @@ class TestMakeBackend:
         b.close()
         with pytest.raises(ValueError):
             make_backend(workers=0)
-
-    def test_transport_threads_through(self):
-        b = make_backend(RuntimeConfig(backend="process", workers=2,
-                                       transport="shm"))
-        assert isinstance(b, ProcessPoolBackend) and b.transport == "shm"
-        b.close()
-        with pytest.raises(ValueError):
-            RuntimeConfig(backend="process", transport="carrier-pigeon")
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(2, transport="carrier-pigeon")
 
 
 class TestSeeding:

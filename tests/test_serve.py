@@ -116,6 +116,34 @@ class TestProtocol:
                   requested_procs=8, requested_time=40.0)
         assert job_from_wire(job_to_wire(job)) == job
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"),
+                                       float("inf"), 1e999])
+    @pytest.mark.parametrize("field", ["run_time", "submit_time",
+                                       "requested_time", "requested_mem"])
+    def test_job_from_wire_rejects_non_finite(self, field, value):
+        # A NaN submit_time used to be admitted, then trip the engine's
+        # clock invariant on the next submit and lose a job.
+        with pytest.raises(ProtocolError, match=field):
+            job_from_wire(wire_job(1, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["job_id", "requested_procs", "user_id"])
+    def test_job_from_wire_rejects_infinite_integers(self, field):
+        with pytest.raises(ProtocolError, match=field):
+            job_from_wire(wire_job(1, **{field: float("inf")}))
+
+    def test_non_finite_wire_line_is_rejected_before_the_engine(self):
+        router = make_router(TenantConfig(name="only", n_procs=8))
+        line = encode(msg("submit", job=wire_job(1))).replace(
+            b'"run_time":10.0', b'"run_time":10.0,"submit_time":NaN')
+        with pytest.raises(ProtocolError, match="submit_time"):
+            router.dispatch(decode(line))
+        assert router.services["only"].engine.n_submitted == 0
+
+    def test_encode_is_strict_json(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                encode({"x": value})
+
 
 # ---------------------------------------------------------------------------
 # per-tenant service
