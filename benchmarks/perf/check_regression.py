@@ -12,11 +12,9 @@ regression can hide:
   the gate.  Absolute steps/s across differently-sized CI runners would
   otherwise be a standing false alarm.
 * **within-run speedup ratios** (``rollout.speedup`` — vectorized vs
-  sequential rollout throughput —, ``ppo_update.sparse_speedup`` —
-  sparse vs dense policy-step time — and
-  ``runtime.actor.async_over_locked_1w`` — per-episode vs per-step IPC
-  at one process worker): each is measured *within one run*, so it is
-  hardware-independent and gates on **every** platform.  The
+  sequential rollout throughput — and ``ppo_update.sparse_speedup`` —
+  sparse vs dense policy-step time): each is measured *within one run*,
+  so it is hardware-independent and gates on **every** platform.  The
   tolerance is looser (``--ratio-tolerance``, default 40%) because tiny
   smoke runs are noisy; the checks exist to catch an optimised path
   collapsing toward its reference, which no runner change can excuse.
@@ -58,23 +56,17 @@ import sys
 from pathlib import Path
 
 METRIC = ("rollout", "vectorized_steps_per_sec")
-#: (section, key, what fell) — all within-run, hardware-independent
-#: ratios; the section may be a dotted path into nested report dicts
+#: (section, key, what fell) — all within-run, hardware-independent ratios
 RATIO_METRICS = (
     ("rollout", "speedup", "vectorization speedup"),
     ("ppo_update", "sparse_speedup", "sparse-update speedup"),
-    ("runtime.actor", "async_over_locked_1w", "async actor-rollout advantage"),
 )
 
 
 def lookup_ratio(report: dict, section: str, key: str):
-    """``report["a"]["b"][key]`` for a dotted ``section`` path ``"a.b"``."""
-    node = report
-    for part in section.split("."):
-        node = node.get(part)
-        if not isinstance(node, dict):
-            return None
-    return node.get(key)
+    """``report[section][key]``, or ``None`` when either is missing."""
+    node = report.get(section)
+    return node.get(key) if isinstance(node, dict) else None
 
 
 def load_scale(path: Path, scale: str) -> dict | None:

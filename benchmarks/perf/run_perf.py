@@ -42,11 +42,6 @@ Measures, in one run:
   workers vs the single-process path.  ``runtime.cpu_count`` records how
   many cores the numbers had to share — on a 1-core box process workers
   can only time-slice, so read scaling figures against it.
-* ``runtime.actor`` — episode-granular actor-rollout throughput
-  (:class:`repro.runtime.ActorRuntime`: in-worker policy inference, one
-  IPC transfer per episode) next to the lock-step floor; the
-  ``async_over_locked_1w`` within-run ratio is hardware-independent and
-  gated in CI.
 
 Results are merged into ``BENCH_perf.json`` (``--out`` overrides) under
 ``scales.<scale>``, one entry per scale preset, so successive PRs have a
@@ -308,9 +303,8 @@ def rollout_sharded(agent, env_cfg, n_procs, sequences, n_envs, rng, runtime,
                     repeat=5):
     """The lock-step training collection path driven through the PR-2
     sharded vec env: per-step ``act_batch`` in the parent, trajectory
-    buffering, and the canonical per-episode value/log-prob targets —
-    the same work per episode as the async actor path, so serial,
-    process, and actor throughput are measured on identical work.
+    buffering, and the canonical per-episode value/log-prob targets, so
+    serial and process throughput are measured on identical work.
     Median-of-``repeat`` passes: one pass is a few ms at smoke scale,
     far inside scheduler noise on a loaded box, and the median (unlike
     best-of) is not hijacked by a single lucky low-jitter window."""
@@ -368,152 +362,19 @@ def rollout_sharded(agent, env_cfg, n_procs, sequences, n_envs, rng, runtime,
         vec.close()
 
 
-def rollout_actor(agent, env_cfg, n_procs, sequences, n_envs, runtime,
-                  repeat=5):
-    """Episode-granular actor rollout: envs *and* policy replicas live in
-    the workers, so IPC is at most one trajectory transfer per episode
-    instead of two array transfers per step (the async training path).
-    ``n_envs`` splits across the actors so the pool's total lock-step
-    width matches the sharded collector's.  Median-of-``repeat`` passes,
-    like :func:`rollout_sharded`."""
-    from repro.runtime import ActorRuntime
-
-    workers = max(1, runtime.workers)
-    width = max(1, -(-min(n_envs, len(sequences)) // workers))
-    actors = ActorRuntime(n_procs, "bsld", config=env_cfg, runtime=runtime,
-                          n_envs=width, seed=2)
-    try:
-        actors.install(agent.policy, agent.value)
-        times = []
-        for rep in range(repeat):
-            steps = 0
-            start = time.perf_counter()
-            actors.submit(rep, list(enumerate(sequences)))
-            for _ in range(len(sequences)):
-                steps += actors.drain().steps
-            times.append(time.perf_counter() - start)
-        if os.environ.get("PERF_DEBUG"):
-            print(f"[perf-debug] actor reps: {[f'{t*1e3:.1f}ms' for t in times]}")
-        return steps, float(np.median(times))
-    finally:
-        actors.close()
-
-
-def rollout_locked_vs_actor_1w(agent, env_cfg, n_procs, sequences, n_envs,
-                               repeat=13):
-    """Paired 1-worker probe for the gated async/locked ratio.
-
-    Locked and actor reps alternate inside one loop so each per-rep
-    ratio compares measurements taken milliseconds apart — immune to the
-    CPU-speed drift a shared box shows over the tens of seconds the
-    separate scaling sweeps span.  Returns ``(locked_steps_per_sec,
-    actor_steps_per_sec, ratio)`` with the throughputs as medians and
-    the ratio as the median of the per-rep ratios.
-    """
-    from repro.runtime import ActorRuntime
-
-    runtime = RuntimeConfig(backend="process", workers=1)
-    rng = np.random.default_rng(2)
-    vec = ShardedVecSchedGym(n_envs, n_procs, "bsld", config=env_cfg,
-                             runtime=runtime)
-    width = max(1, min(n_envs, len(sequences)))
-    actors = ActorRuntime(n_procs, "bsld", config=env_cfg,
-                          runtime=RuntimeConfig(backend="process", workers=1),
-                          n_envs=width, seed=2)
-    try:
-        actors.install(agent.policy, agent.value)
-
-        def locked_rep():
-            buffer = TrajectoryBuffer()
-            rngs = rng.spawn(len(sequences))
-            n = min(n_envs, len(sequences))
-            steps = 0
-            start = time.perf_counter()
-            obs, masks = vec.reset(sequences[:n])
-            vec.queue_sequences(sequences[n:])
-            slot_of_env = list(range(n))
-            next_slot = n
-            while True:
-                active_idx = np.flatnonzero(vec.active)
-                if not len(active_idx):
-                    break
-                a_obs = obs[active_idx]
-                a_masks = masks[active_idx]
-                actions, log_probs = agent.act_batch(
-                    a_obs, a_masks, [rngs[slot_of_env[i]] for i in active_idx]
-                )
-                buffer.store_batch(a_obs, a_masks, actions, log_probs,
-                                   slots=[slot_of_env[i] for i in active_idx])
-                full = np.full(vec.n_envs, -1, dtype=np.int64)
-                full[active_idx] = actions
-                result = vec.step(full)
-                steps += len(active_idx)
-                for i in active_idx:
-                    if result.dones[i]:
-                        slot = slot_of_env[i]
-                        ep_obs = buffer.staged_obs(slot)
-                        buffer.end_slot(
-                            slot, result.rewards[i],
-                            values=agent.value_batch(ep_obs),
-                            log_probs=agent.episode_log_probs(
-                                ep_obs, buffer.staged_masks(slot),
-                                buffer.staged_actions(slot),
-                            ),
-                        )
-                        if result.infos[i].get("auto_reset"):
-                            slot_of_env[i] = next_slot
-                            next_slot += 1
-                obs, masks = result.observations, result.action_masks
-            return steps, time.perf_counter() - start
-
-        def actor_rep(rep):
-            steps = 0
-            start = time.perf_counter()
-            actors.submit(rep, list(enumerate(sequences)))
-            for _ in range(len(sequences)):
-                steps += actors.drain().steps
-            return steps, time.perf_counter() - start
-
-        locked_rep()          # warm both paths outside the measured reps
-        actor_rep(0)
-        locked, actor, ratios = [], [], []
-        for rep in range(1, repeat + 1):
-            l_steps, l_time = locked_rep()
-            a_steps, a_time = actor_rep(rep)
-            locked.append(l_steps / l_time)
-            actor.append(a_steps / a_time)
-            ratios.append((a_steps / a_time) / (l_steps / l_time))
-        if os.environ.get("PERF_DEBUG"):
-            print(f"[perf-debug] paired ratios: {[f'{r:.2f}' for r in ratios]}")
-        return (float(np.median(locked)), float(np.median(actor)),
-                float(np.median(ratios)))
-    finally:
-        actors.close()
-        vec.close()
-
-
 def bench_runtime_scaling(agent, env_cfg, trace, sequences, n_envs,
                           eval_seqs, eval_len, workers_list=(1, 2, 4)):
     """Worker scaling of rollouts (sharded vec env) and evaluation
     (``api.evaluate`` fan-out) vs the single-process serial path."""
     report = {"workers": list(workers_list), "cpu_count": os.cpu_count()}
 
-    # The gated async/locked 1-worker comparison runs as a paired probe
-    # (alternating reps) so CPU-speed drift cannot skew the ratio; the
-    # remaining worker counts come from the ordinary sweeps below.
-    locked_1w, actor_1w, ratio_1w = rollout_locked_vs_actor_1w(
-        agent, env_cfg, trace.max_procs, sequences, n_envs
-    )
-
     steps, elapsed = rollout_sharded(
         agent, env_cfg, trace.max_procs, sequences, n_envs,
         np.random.default_rng(2), RuntimeConfig()
     )
     serial_rollout = steps / elapsed
-    rollout = {"serial": serial_rollout, "process": {"1": locked_1w}}
+    rollout = {"serial": serial_rollout, "process": {}}
     for w in workers_list:
-        if w == 1:
-            continue
         steps, elapsed = rollout_sharded(
             agent, env_cfg, trace.max_procs, sequences, n_envs,
             np.random.default_rng(2),
@@ -524,27 +385,6 @@ def bench_runtime_scaling(agent, env_cfg, trace, sequences, n_envs,
         rollout["process"][str(workers_list[-1])] / serial_rollout
     )
     report["rollout_steps_per_sec"] = rollout
-
-    # Episode-granular actor throughput next to the lock-step floor.  The
-    # 1-worker async/locked ratio is hardware-independent (identical work,
-    # identical process count — only the IPC granularity differs) and is
-    # gated in check_regression.py.
-    actor = {"serial": None, "process": {"1": actor_1w}}
-    steps, elapsed = rollout_actor(
-        agent, env_cfg, trace.max_procs, sequences, n_envs, RuntimeConfig()
-    )
-    actor["serial"] = steps / elapsed
-    for w in workers_list:
-        if w == 1:
-            continue
-        steps, elapsed = rollout_actor(
-            agent, env_cfg, trace.max_procs, sequences, n_envs,
-            RuntimeConfig(backend="process", workers=w),
-        )
-        actor["process"][str(w)] = steps / elapsed
-    actor["locked_1w_steps_per_sec"] = locked_1w
-    actor["async_over_locked_1w"] = ratio_1w
-    report["actor"] = actor
 
     def eval_once(runtime):
         cfg = EvalConfig(n_sequences=eval_seqs, sequence_length=eval_len,
@@ -861,11 +701,6 @@ def main(argv=None):
     print(f"[perf]   rollout serial {rr['serial']:,.0f} steps/s; process "
           + ", ".join(f"{w}w {v:,.0f}" for w, v in rr["process"].items())
           + f" ({rr['speedup_at_max_workers']:.2f}x at max workers)")
-    ar = runtime_report["actor"]
-    print(f"[perf]   actor serial {ar['serial']:,.0f} steps/s; process "
-          + ", ".join(f"{w}w {v:,.0f}" for w, v in ar["process"].items())
-          + (f" (async/locked at 1w: {ar['async_over_locked_1w']:.2f}x)"
-             if "async_over_locked_1w" in ar else ""))
     print(f"[perf]   evaluate serial {er['serial']:,.1f} seqs/s; process "
           + ", ".join(f"{w}w {v:,.1f}" for w, v in er["process"].items())
           + f" ({er['speedup_at_max_workers']:.2f}x at max workers)")

@@ -215,21 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(reference) or segment-batched sparse autograd "
                         "(kernel policy only, much faster at large "
                         "MAX_OBSV_SIZE)")
-    p.add_argument("--rollout-mode", choices=["locked", "async"],
-                   default="locked",
-                   help="rollout collection: lock-step vectorized envs "
-                        "(reference) or episode-granular async actors with "
-                        "in-worker policy inference (one IPC transfer per "
-                        "episode; with --staleness 0 bit-identical to "
-                        "locked)")
-    p.add_argument("--staleness", type=_nonnegative_int, default=0,
-                   help="async rollouts: how many updates collection may "
-                        "run ahead of learning (0 = fully synchronous)")
-    p.add_argument("--stale-mode", choices=["drop", "reweight"],
-                   default="drop",
-                   help="episodes past the staleness bound: exclude from "
-                        "the update (drop) or keep and let PPO's importance "
-                        "ratios reweight them")
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
@@ -277,13 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for training rollouts and the "
                         "evaluation fan-out (1 = serial)")
-    p.add_argument("--rollout-mode", choices=["locked", "async"],
-                   default="locked",
-                   help="training rollout collection for every zoo policy "
-                        "(see train --rollout-mode)")
-    p.add_argument("--staleness", type=_nonnegative_int, default=0,
-                   help="async rollouts: staleness bound in updates "
-                        "(0 = fully synchronous)")
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
@@ -557,9 +535,6 @@ def _cmd_train(args) -> int:
             seed=args.seed,
             use_trajectory_filter=args.filter,
             runtime=RuntimeConfig.from_workers(args.workers),
-            rollout_mode=args.rollout_mode,
-            staleness=args.staleness,
-            stale_mode=args.stale_mode,
             telemetry=_telemetry_config(args),
             scenario=scenario_cfg,
         ),
@@ -612,8 +587,6 @@ def _cmd_study(args) -> int:
         sequence_length=args.eval_length,
         on_mismatch=args.on_mismatch,
         runtime=RuntimeConfig.from_workers(args.workers),
-        rollout_mode=args.rollout_mode,
-        staleness=args.staleness,
         telemetry=_telemetry_config(args),
     )
     doc = generalization_matrix(config, progress=logger.info)

@@ -233,12 +233,6 @@ class PPOConfig:
 class TrainConfig:
     """Epoch-level training protocol (§V-A)."""
 
-    #: accepted rollout-collection modes
-    ROLLOUT_MODES = ("locked", "async")
-    #: what happens to an episode whose weight snapshot is older than
-    #: ``staleness`` updates when it is consumed
-    STALE_MODES = ("drop", "reweight")
-
     epochs: int = 100
     trajectories_per_epoch: int = 100
     trajectory_length: int = 256  # jobs per training sequence
@@ -249,24 +243,6 @@ class TrainConfig:
     vectorized: bool = True       # collect rollouts through the vec env
     n_envs: int = 16              # environments stepped in lock-step
     runtime: RuntimeConfig = RuntimeConfig()  # where env shards execute
-    #: ``"locked"`` collects rollouts through the lock-step sharded vec env
-    #: (policy forward in the parent, two IPC transfers per env step);
-    #: ``"async"`` runs whole episodes inside the workers against a policy
-    #: replica (one transfer per episode) via the episode-granular
-    #: :class:`repro.runtime.ActorRuntime`.
-    rollout_mode: str = "locked"
-    #: async mode only: how many PPO updates ahead the learner may run
-    #: while workers still collect against an older weight snapshot.
-    #: 0 = fully synchronous (bit-identical to ``"locked"``); K > 0
-    #: prefetches up to K future epochs of episodes so workers stay busy
-    #: through the update/validation phase.
-    staleness: int = 0
-    #: episodes staler than the bound when consumed: ``"drop"`` excludes
-    #: them from the update batch, ``"reweight"`` keeps them and lets
-    #: PPO's importance ratios (new-policy vs stored behaviour log-probs)
-    #: do the off-policy correction.  Both are counted in the
-    #: :class:`~repro.rl.trainer.EpochRecord`.
-    stale_mode: str = "drop"
     #: train inside a named scenario (workload + cluster); None = caller
     #: supplies the trace and cluster explicitly
     scenario: ScenarioConfig | None = None
@@ -278,18 +254,6 @@ class TrainConfig:
             raise ValueError("training sizes must be positive")
         if self.n_envs <= 0:
             raise ValueError("n_envs must be positive")
-        if self.rollout_mode not in self.ROLLOUT_MODES:
-            raise ValueError(
-                f"rollout_mode must be one of {self.ROLLOUT_MODES}, "
-                f"got {self.rollout_mode!r}"
-            )
-        if self.staleness < 0:
-            raise ValueError(f"staleness must be >= 0, got {self.staleness}")
-        if self.stale_mode not in self.STALE_MODES:
-            raise ValueError(
-                f"stale_mode must be one of {self.STALE_MODES}, "
-                f"got {self.stale_mode!r}"
-            )
         if not isinstance(self.runtime, RuntimeConfig):
             raise TypeError("runtime must be a RuntimeConfig")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioConfig):
@@ -441,11 +405,6 @@ class StudyConfig:
     trajectory_length: int = 64
     max_obsv_size: int = 32
     use_trajectory_filter: bool = False
-    #: rollout collection for every per-scenario Trainer (see
-    #: :class:`TrainConfig`): ``"locked"`` or ``"async"``
-    rollout_mode: str = "locked"
-    #: async staleness bound per trainer (ignored when locked)
-    staleness: int = 0
     # -- evaluation knobs (None = scenario protocol) --------------------
     n_jobs: int | None = None
     n_sequences: int | None = None
@@ -473,13 +432,6 @@ class StudyConfig:
                 f"on_mismatch must be one of {self.MISMATCH_MODES}, "
                 f"got {self.on_mismatch!r}"
             )
-        if self.rollout_mode not in TrainConfig.ROLLOUT_MODES:
-            raise ValueError(
-                f"rollout_mode must be one of {TrainConfig.ROLLOUT_MODES}, "
-                f"got {self.rollout_mode!r}"
-            )
-        if self.staleness < 0:
-            raise ValueError(f"staleness must be >= 0, got {self.staleness}")
         if not isinstance(self.runtime, RuntimeConfig):
             raise TypeError("runtime must be a RuntimeConfig")
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):

@@ -123,26 +123,6 @@ class PPOAgent:
         self.v_optimizer = Adam(value.parameters(), lr=self.config.vf_lr)
 
     # ------------------------------------------------------------------
-    # weight snapshots (actor-runtime weight streaming)
-    # ------------------------------------------------------------------
-    def export_weights(self) -> dict[str, dict[str, np.ndarray]]:
-        """Picklable snapshot of both networks' parameters.
-
-        ``state_dict`` copies each array, so the snapshot is immune to the
-        optimizers' in-place parameter updates — an actor replica loading
-        it later sees exactly the weights at export time.
-        """
-        return {
-            "policy": self.policy.state_dict(),
-            "value": self.value.state_dict(),
-        }
-
-    def load_weights(self, snapshot: dict[str, dict[str, np.ndarray]]) -> None:
-        """Install an :meth:`export_weights` snapshot into both networks."""
-        self.policy.load_state_dict(snapshot["policy"])
-        self.value.load_state_dict(snapshot["value"])
-
-    # ------------------------------------------------------------------
     # acting
     # ------------------------------------------------------------------
     def act(

@@ -18,15 +18,16 @@ collected through :class:`~repro.runtime.ShardedVecSchedGym`:
 ``TrainConfig.n_envs`` environments step in lock-step — sharded over
 ``TrainConfig.runtime`` workers (in-process by default, a process pool
 with ``RuntimeConfig(backend="process", workers=N)``) — and every policy
-forward serves all of them at once via :meth:`PPOAgent.act_batch`.  The
-workers only run env stepping and observation building; the policy
+forward serves all of them at once via :meth:`PPOAgent.act_batch`.  This
+is the one training collector; ``vectorized=False`` keeps the sequential
+:meth:`Trainer._rollout` as the bit-exact reference it is tested against.
+The workers only run env stepping and observation building; the policy
 forward and the PPO update stay in the parent, so worker count is a pure
 throughput knob and trajectories are bit-identical to the serial path
-under the per-trajectory RNG streams.  Value
-estimates are deferred to one batched :meth:`PPOAgent.value_batch` call
-per finished episode in *both* modes, so the two collection paths produce
-bit-identical trajectories, advantages and update statistics for the same
-seed:
+under the per-trajectory RNG streams.  Value estimates are deferred to
+one batched :meth:`PPOAgent.value_batch` call per finished episode in
+*both* modes, so the two collection paths produce bit-identical
+trajectories, advantages and update statistics for the same seed:
 
 * each trajectory owns a dedicated action-sampling RNG stream derived from
   ``(seed, epoch, trajectory index)`` — interleaving environments cannot
@@ -37,24 +38,6 @@ seed:
 
 ``benchmarks/perf/run_perf.py`` measures the resulting rollout speedup and
 records it in ``BENCH_perf.json``.
-
-Asynchronous rollouts
----------------------
-``TrainConfig.rollout_mode="async"`` replaces the lock-step collector
-with the episode-granular :class:`~repro.runtime.ActorRuntime`: workers
-hold env + policy replicas, run whole episodes locally and stream
-finished trajectories back (one IPC transfer per episode instead of two
-per step).  ``TrainConfig.staleness`` bounds how far collection may run
-ahead of learning: epoch ``e + k`` (``k <= staleness``) is submitted
-while epoch ``e`` is still training, so its episodes act on weights up
-to ``k`` updates old.  PPO's importance ratios use the stored behaviour
-log-probs, so bounded off-policyness is absorbed by the update
-(``stale_mode="reweight"``) or over-stale episodes are excluded from the
-batch (``"drop"``); both are counted in :class:`EpochRecord`.  With
-``staleness=0`` nothing is prefetched and every episode acts on the
-current weights — that mode is **bit-identical** to the lock-step path
-(same sequences, same RNG streams, same per-episode target batches),
-which the async golden tests pin across serial and process backends.
 """
 
 from __future__ import annotations
@@ -73,7 +56,7 @@ from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.telemetry import core as _telemetry
 from repro.telemetry.sink import TelemetrySink, render_summary
 from repro.nn import Module, ValueMLP, make_policy
-from repro.runtime import ActorRuntime, EpisodeSlice, ShardedVecSchedGym
+from repro.runtime import ShardedVecSchedGym
 from repro.runtime.seeding import stream_rng
 from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
@@ -105,23 +88,23 @@ class EpochRecord:
     wall_time: float            # seconds spent in this epoch
     filtered_phase: bool
     val_reward: float = float("nan")  # greedy-policy reward on held-out seqs
-    #: async rollouts only: episodes past the staleness bound that were
-    #: excluded from (dropped) or importance-reweighted into this update
-    n_stale_dropped: int = 0
-    n_stale_reweighted: int = 0
     #: telemetry runs only: per-phase wall seconds for this epoch
-    #: (``rollout`` / ``update`` / ``broadcast`` / ``validate``), read
+    #: (``rollout`` / ``update`` / ``validate``), read
     #: from the epoch spans; ``None`` when telemetry is disabled.  Old
     #: records without the field load with the default (the ``kl_last``
     #: compat pattern).
     phase_times: dict | None = None
+
+    #: keys of removed fields (the asynchronous-rollout counters) that
+    #: curves saved before their removal still carry; dropped on load
+    _RETIRED_KEYS = ("n_stale_dropped", "n_stale_reweighted")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpochRecord":
-        data = dict(data)
+        data = {k: v for k, v in data.items() if k not in cls._RETIRED_KEYS}
         data["stats"] = UpdateStats(**data["stats"])
         return cls(**data)
 
@@ -339,16 +322,6 @@ class Trainer:
         # not spawn (and hold) idle worker processes.
         self._vec_env: ShardedVecSchedGym | None = None
 
-        # Async rollout state (rollout_mode="async"): the actor pool, the
-        # learner's update counter (= weight version), per-epoch sampled
-        # sequences, which epochs have been submitted, and episodes that
-        # arrived before their epoch was collected.
-        self._actor_runtime: ActorRuntime | None = None
-        self._n_updates = 0
-        self._epoch_sequences: dict[int, tuple[list, int]] = {}
-        self._submitted_epochs: set[int] = set()
-        self._early_episodes: dict[int, list[EpisodeSlice]] = {}
-
         # Terminal rewards span orders of magnitude across metrics (bsld in
         # the hundreds, util in [0,1]).  The value network regresses raw
         # returns, so rescale rewards to unit-ish magnitude using the first
@@ -395,7 +368,6 @@ class Trainer:
                         "trace": trace.name,
                         "metric": metric,
                         "epochs": self.train_config.epochs,
-                        "rollout_mode": self.train_config.rollout_mode,
                         "workers": self.train_config.runtime.workers,
                     },
                 )
@@ -448,34 +420,6 @@ class Trainer:
                 runtime=self.train_config.runtime,
             )
         return self._vec_env
-
-    @property
-    def actor_runtime(self) -> ActorRuntime:
-        """The episode-granular actor pool, created on first async epoch.
-
-        Like :attr:`vec_env`, passing the metric *name* keeps the reward
-        picklable; the networks are replicated at install time and
-        re-streamed as snapshots after every update.  The lock-step width
-        splits across the actors so the pool's total concurrent envs
-        matches the locked collector's.
-        """
-        if self._actor_runtime is None:
-            cfg = self.train_config
-            n_vec = min(cfg.n_envs, cfg.trajectories_per_epoch)
-            width = max(1, -(-n_vec // max(1, cfg.runtime.workers)))
-            self._actor_runtime = ActorRuntime(
-                self.cluster_spec,
-                self.metric,
-                config=self.env_config,
-                runtime=cfg.runtime,
-                n_envs=width,
-                seed=cfg.seed,
-                act_stream=self._ACT_STREAM,
-            )
-            self._actor_runtime.install(
-                self.policy, self.value, version=self._n_updates
-            )
-        return self._actor_runtime
 
     def _traj_rng(self, epoch: int, traj: int) -> np.random.Generator:
         """The action-sampling stream owned by one trajectory."""
@@ -602,102 +546,10 @@ class Trainer:
             reg.counter("rollout.env_steps").add(n_env_steps)
         return rewards
 
-    # -- async (episode-granular) collection ----------------------------
-    def _epoch_filtered(self, epoch: int) -> bool:
-        """Whether the trajectory filter applies to this epoch (phase 1)."""
-        cfg = self.train_config
-        phase1_epochs = int(round(cfg.epochs * cfg.filter_phase1_fraction))
-        return self.filter is not None and epoch < phase1_epochs
-
-    def _sample_epoch_sequences(self, epoch: int) -> tuple[list, int]:
-        """Sample (once) and cache one epoch's training sequences.
-
-        Async prefetch samples future epochs early; caching by epoch keeps
-        the sampler's draw order identical to the lock-step path (strictly
-        increasing epoch, trajectory order within an epoch) — the
-        foundation of the ``locked == async(staleness=0)`` golden tests.
-        """
-        if epoch not in self._epoch_sequences:
-            filtered = self._epoch_filtered(epoch)
-            sequences, total_rejected = [], 0
-            for _ in range(self.train_config.trajectories_per_epoch):
-                jobs, rejected = self._sample_sequence(filtered)
-                total_rejected += rejected
-                sequences.append(jobs)
-            self._epoch_sequences[epoch] = (sequences, total_rejected)
-        return self._epoch_sequences[epoch]
-
-    def _submit_epoch(self, epoch: int) -> None:
-        """Queue one epoch's episodes on the actors (idempotent)."""
-        if epoch in self._submitted_epochs or epoch >= self.train_config.epochs:
-            return
-        sequences, _ = self._sample_epoch_sequences(epoch)
-        self.actor_runtime.submit(epoch, list(enumerate(sequences)))
-        self._submitted_epochs.add(epoch)
-
-    def _collect_async(
-        self, epoch: int, buffer: TrajectoryBuffer
-    ) -> tuple[list[float], int, int, int, int]:
-        """Collect one epoch's episodes from the actor pool.
-
-        Submits this epoch plus up to ``staleness`` future epochs (the
-        prefetch window that lets actors work ahead of the learner), then
-        drains until this epoch is complete — episodes of future epochs
-        arriving early are parked for their own collection pass.  Returns
-        ``(rewards, n_dropped, n_reweighted, n_kept, n_rejected)``.
-        """
-        cfg = self.train_config
-        self._submit_epoch(epoch)
-        for future in range(epoch + 1, min(epoch + 1 + cfg.staleness, cfg.epochs)):
-            self._submit_epoch(future)
-        sequences, total_rejected = self._epoch_sequences.pop(epoch)
-
-        episodes = self._early_episodes.pop(epoch, [])
-        while len(episodes) < len(sequences):
-            ep = self.actor_runtime.drain()
-            if ep.epoch == epoch:
-                episodes.append(ep)
-            else:
-                self._early_episodes.setdefault(ep.epoch, []).append(ep)
-        # Trajectory order: arrival order across workers is scheduling
-        # noise; the buffer contents must not depend on it.
-        episodes.sort(key=lambda e: e.traj)
-
-        scale = self._reward_scale or 1.0
-        rewards: list[float] = []
-        n_dropped = n_reweighted = n_kept = 0
-        reg = _telemetry.current()
-        tel_staleness = (
-            reg.histogram("rollout.staleness", bounds=_telemetry.INT_BOUNDS)
-            if reg.enabled
-            else None
-        )
-        for ep in episodes:
-            rewards.append(ep.reward)
-            # Staleness at *consumption* time: updates run since the
-            # episode's weights were current (drain() stamps its own view,
-            # but early-arriving episodes age while parked).
-            staleness = self._n_updates - ep.version
-            if tel_staleness is not None:
-                tel_staleness.record(staleness)
-            if staleness > cfg.staleness:
-                if cfg.stale_mode == "drop":
-                    n_dropped += 1
-                    continue
-                n_reweighted += 1
-            buffer.store_batch(
-                ep.obs, ep.masks, ep.actions, ep.log_probs,
-                slots=[ep.traj] * ep.steps,
-            )
-            buffer.end_slot(
-                ep.traj, ep.reward / scale, values=ep.values, log_probs=ep.log_probs
-            )
-            n_kept += 1
-        return rewards, n_dropped, n_reweighted, n_kept, total_rejected
-
     def run_epoch(self, epoch: int) -> EpochRecord:
         cfg = self.train_config
-        filtered = self._epoch_filtered(epoch)
+        phase1_epochs = int(round(cfg.epochs * cfg.filter_phase1_fraction))
+        filtered = self.filter is not None and epoch < phase1_epochs
         reg = _telemetry.current()
 
         start = time.perf_counter()
@@ -716,42 +568,24 @@ class Trainer:
                 )
                 self._reward_scale = max(abs(probe_reward), 1e-6)
 
-            n_dropped = n_reweighted = 0
-            if cfg.rollout_mode == "async":
-                rewards, n_dropped, n_reweighted, n_kept, total_rejected = (
-                    self._collect_async(epoch, buffer)
-                )
+            # Sequences are sampled (and filter-checked) in trajectory order
+            # before any stepping, so both collectors see the same draws.
+            sequences, total_rejected = [], 0
+            for _ in range(cfg.trajectories_per_epoch):
+                jobs, rejected = self._sample_sequence(filtered)
+                total_rejected += rejected
+                sequences.append(jobs)
+            rngs = [self._traj_rng(epoch, t) for t in range(len(sequences))]
+            if cfg.vectorized:
+                rewards = self._collect_vectorized(sequences, rngs, buffer)
             else:
-                sequences, total_rejected = self._sample_epoch_sequences(epoch)
-                self._epoch_sequences.pop(epoch)
-                rngs = [self._traj_rng(epoch, t) for t in range(len(sequences))]
-                if cfg.vectorized:
-                    rewards = self._collect_vectorized(sequences, rngs, buffer)
-                else:
-                    rewards = [
-                        self._rollout(jobs, buffer, rngs[t], slot=t)
-                        for t, jobs in enumerate(sequences)
-                    ]
-                n_kept = len(sequences)
+                rewards = [
+                    self._rollout(jobs, buffer, rngs[t], slot=t)
+                    for t, jobs in enumerate(sequences)
+                ]
 
         with reg.span("epoch.update") as sp_update:
-            if n_kept == 0:
-                # Every episode fell past the staleness bound in drop mode;
-                # there is nothing to update on.  Record a no-op epoch
-                # rather than crash — the weights (and version) stay put.
-                stats = UpdateStats(
-                    policy_loss=float("nan"), value_loss=float("nan"),
-                    kl=float("nan"), entropy=float("nan"),
-                    pi_iters_run=0, early_stopped=False,
-                )
-            else:
-                stats = self.agent.update(buffer.get())
-        with reg.span("epoch.broadcast") as sp_broadcast:
-            if cfg.rollout_mode == "async" and n_kept > 0:
-                self._n_updates += 1
-                self.actor_runtime.push_weights(
-                    self._n_updates, self.agent.export_weights()
-                )
+            stats = self.agent.update(buffer.get())
         mean_reward = float(np.mean(rewards))
         sign = 1.0 if self._higher_is_better else -1.0
         with reg.span("epoch.validate") as sp_validate:
@@ -761,7 +595,6 @@ class Trainer:
             phase_times = {
                 "rollout": sp_rollout.elapsed,
                 "update": sp_update.elapsed,
-                "broadcast": sp_broadcast.elapsed,
                 "validate": sp_validate.elapsed,
             }
         return EpochRecord(
@@ -773,8 +606,6 @@ class Trainer:
             wall_time=time.perf_counter() - start,
             filtered_phase=filtered,
             val_reward=val_reward,
-            n_stale_dropped=n_dropped,
-            n_stale_reweighted=n_reweighted,
             phase_times=phase_times,
         )
 
@@ -802,28 +633,23 @@ class Trainer:
         return float(np.mean(rewards))
 
     def close(self) -> None:
-        """Release rollout and actor workers (no-op if never spawned).
+        """Release rollout workers (no-op if never spawned).
 
-        Chained ``finally`` blocks: a teardown failure in one subsystem
-        must not leak the others' worker processes — this is what lets the
-        CLI paths guarantee no orphaned children on any exit path.
+        The ``finally`` block closes the sink and restores telemetry even
+        when worker teardown fails, so the CLI paths leave no orphaned
+        state on any exit path.
         """
         try:
             if self._vec_env is not None:
                 self._vec_env.close()
                 self._vec_env = None
         finally:
-            try:
-                if self._actor_runtime is not None:
-                    self._actor_runtime.close()
-                    self._actor_runtime = None
-            finally:
-                if self._sink is not None:
-                    self._sink.close()
-                    self._sink = None
-                if self._owns_telemetry:
-                    _telemetry.set_active(self._tel_prev)
-                    self._owns_telemetry = False
+            if self._sink is not None:
+                self._sink.close()
+                self._sink = None
+            if self._owns_telemetry:
+                _telemetry.set_active(self._tel_prev)
+                self._owns_telemetry = False
 
     def __enter__(self) -> "Trainer":
         return self
@@ -860,10 +686,10 @@ class Trainer:
             if record.phase_times is not None:
                 pt = record.phase_times
                 logger.info(
-                    "epoch %3d  rollout %.2fs  update %.2fs  broadcast %.2fs  "
-                    "validate %.2fs  kl %.4f",
-                    epoch, pt["rollout"], pt["update"], pt["broadcast"],
-                    pt["validate"], record.stats.kl,
+                    "epoch %3d  rollout %.2fs  update %.2fs  validate %.2fs  "
+                    "kl %.4f",
+                    epoch, pt["rollout"], pt["update"], pt["validate"],
+                    record.stats.kl,
                 )
             if self._sink is not None:
                 self._sink.write_event(

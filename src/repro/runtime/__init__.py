@@ -19,7 +19,6 @@ tasks in the same order produce the same ordered results, which is what
 keeps process-pool rollouts bit-identical to serial ones.
 """
 
-from .actor import ActorRuntime, EpisodeSlice
 from .backend import ExecutionBackend, WorkerError, make_backend
 from .process_pool import ProcessPoolBackend
 from .seeding import derive_streams, stream_rng, task_seed
@@ -33,8 +32,6 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "ShardedVecSchedGym",
-    "ActorRuntime",
-    "EpisodeSlice",
     "stream_rng",
     "derive_streams",
     "task_seed",

@@ -16,23 +16,6 @@ dispatch primitives cover every fan-out pattern in the repo:
     chunks across workers, results returned **in task order** (evaluate a
     scheduler over the paper's test sequences).
 
-A fourth, *asynchronous* primitive pair serves the episode-granular actor
-runtime (:mod:`repro.runtime.actor`):
-
-``post(worker, fn, *args)``
-    queue ``fn(state, *args)`` on one worker and return immediately;
-``next_result()``
-    block until *some* posted task finishes and return
-    ``(worker_id, result)``.
-
-Posted tasks execute in per-worker FIFO order (the staleness mechanism:
-a weight push posted before an episode is guaranteed to apply first), but
-``next_result`` returns completions in whatever order they arrive across
-workers.  ``post``/``next_result`` must be fully drained before the
-synchronous primitives run again — ``scatter``/``map`` refuse while
-results are pending so the two dispatch styles can never interleave on
-one pipe.
-
 Determinism contract: for the same task list, ``map``/``scatter`` return
 the same ordered results on every backend and any worker count.  Dispatch
 order may differ; observable results may not.  All the runtime golden
@@ -61,10 +44,6 @@ class WorkerError(RuntimeError):
 
 class ExecutionBackend(abc.ABC):
     """Lifecycle + dispatch over a fixed set of stateful workers."""
-
-    #: True when tasks/results cross a process boundary (are pickled);
-    #: callers may use wire-compact encodings only when this is set.
-    crosses_process_boundary = False
 
     def __init__(self, n_workers: int = 1):
         if n_workers < 1:
@@ -148,7 +127,6 @@ class ExecutionBackend(abc.ABC):
         if len(set(workers)) != len(workers):
             raise ValueError("worker ids must be unique per scatter call")
         self.start()
-        self._require_drained("scatter")
         return self._scatter_impl(fn, per_worker_args, workers, tuple(shared))
 
     def map(
@@ -172,61 +150,7 @@ class ExecutionBackend(abc.ABC):
         if chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.start()
-        self._require_drained("map")
         return self._map_impl(fn, tasks, chunksize)
-
-    # -- asynchronous dispatch ------------------------------------------
-    def post(self, worker: int, fn: TaskFn, *args) -> None:
-        """Queue ``fn(state, *args)`` on one worker without waiting.
-
-        Per-worker execution order is the post order (FIFO); collect
-        completions — in cross-worker arrival order — with
-        :meth:`next_result`.
-        """
-        if not 0 <= worker < self.n_workers:
-            raise ValueError(
-                f"worker id {worker} out of range [0, {self.n_workers})"
-            )
-        self.start()
-        self._post_impl(worker, fn, args)
-
-    def post_all(self, fn: TaskFn, *args) -> None:
-        """Post ``fn(state, *args)`` on *every* worker without waiting.
-
-        Semantically ``post(w, fn, *args)`` for each worker in id order
-        (same FIFO guarantees, one result per worker via
-        :meth:`next_result`), but process backends encode the message
-        **once** and write the same bytes to every pipe — the weight
-        re-broadcast after a PPO update ships one snapshot, not
-        ``n_workers`` pickled copies.
-        """
-        self.start()
-        self._post_all_impl(fn, args)
-
-    def next_result(self) -> tuple[int, Any]:
-        """Block for the next completed posted task: ``(worker, result)``.
-
-        Raises :class:`WorkerError` if that task failed (the failed task
-        still counts as drained).  Raises ``RuntimeError`` when nothing is
-        pending — a blocking wait could never return.
-        """
-        if self.n_pending == 0:
-            raise RuntimeError("next_result() with no posted tasks pending")
-        return self._next_result_impl()
-
-    @property
-    def n_pending(self) -> int:
-        """Posted tasks whose results have not been collected yet."""
-        if not self.started:
-            return 0
-        return self._n_pending_impl()
-
-    def _require_drained(self, what: str) -> None:
-        if self.n_pending:
-            raise RuntimeError(
-                f"cannot {what} while {self.n_pending} posted task(s) are "
-                "pending; drain them with next_result() first"
-            )
 
     # -- backend hooks --------------------------------------------------
     @abc.abstractmethod
@@ -246,26 +170,6 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def _map_impl(self, fn: TaskFn, tasks: list, chunksize: int) -> list: ...
-
-    # Async-dispatch hooks have defaults so minimal backends (tests,
-    # third-party) that only implement the synchronous contract keep
-    # working until they opt in.
-    def _post_impl(self, worker: int, fn: TaskFn, args: tuple) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement post()"
-        )
-
-    def _post_all_impl(self, fn: TaskFn, args: tuple) -> None:
-        for worker in range(self.n_workers):
-            self._post_impl(worker, fn, args)
-
-    def _next_result_impl(self) -> tuple[int, Any]:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement next_result()"
-        )
-
-    def _n_pending_impl(self) -> int:
-        return 0
 
 
 def make_backend(config=None, workers: int | None = None) -> ExecutionBackend:

@@ -11,20 +11,12 @@ worker returns first (:func:`multiprocessing.connection.wait`), and the
 chunk index travels with the result so the caller always sees results in
 task order — worker count and scheduling jitter are unobservable.
 
-Posted tasks (``post``/``next_result``) return their results through one
-shared ``multiprocessing.Queue`` instead of the per-worker pipes.  The
-queue's feeder thread makes the worker-side put non-blocking, which
-breaks the deadlock a pipe-only design invites: with pipes, a parent
-blocked in ``send`` (pushing weights) to a worker that is itself blocked
-in ``send`` (returning a large episode) would wedge both sides forever.
-Workers encode queue payloads eagerly so an unencodable result fails
-*synchronously* in the worker — shipped back as an error — rather than
-asynchronously wedging the queue's feeder thread.
-
-Every message — pipe or queue, either direction — is pickled once and
-moved with ``send_bytes``/``recv_bytes``.  Arguments common to several
-workers (``scatter(shared=...)``, ``broadcast``, ``post_all``) are
-pickled once per call and the same bytes are written to every pipe.
+Every message, in either direction, is pickled once and moved with
+``send_bytes``/``recv_bytes``.  Arguments common to several workers
+(``scatter(shared=...)``, ``broadcast``) are pickled once per call and
+the same bytes are written to every pipe.  A worker encodes its reply
+before writing it, so an unencodable result comes back as an error
+instead of a half-written message.
 
 Task functions and their arguments must be picklable; define worker
 functions at module top level.  Exceptions raised in a worker come back
@@ -32,9 +24,9 @@ pickled and re-raise in the parent as :class:`WorkerError`.
 
 Telemetry piggybacks on this protocol: when the parent's telemetry is
 enabled at spawn time, every worker activates its own registry and every
-reply — pipe or queue — carries the worker's snapshot *delta* as a third
-element.  The parent absorbs deltas under worker-labelled metric names
-as replies drain, so per-worker telemetry (IPC queue wait, task and
+reply carries the worker's snapshot *delta* as a third element.  The
+parent absorbs deltas under worker-labelled metric names as replies
+drain, so per-worker telemetry (IPC queue wait, task and
 encode time, plus whatever the task functions record) aggregates without
 any extra round trips.  Both sides count the bytes they actually write
 (``runtime.ipc.bytes_inline``) and time their encodes
@@ -46,7 +38,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
-import queue as queue_mod
 import time
 from multiprocessing.connection import Connection, wait
 from typing import Sequence
@@ -65,22 +56,14 @@ def _dumps(obj) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _worker_main(
-    conn: Connection,
-    result_queue,
-    worker_id: int,
-    telemetry_enabled: bool = False,
-) -> None:
-    """Command loop: ``(fn, args, via_queue, shared_wire)`` in, results out.
+def _worker_main(conn: Connection, telemetry_enabled: bool = False) -> None:
+    """Command loop: ``(fn, args, shared_wire)`` in, results out.
 
-    ``via_queue=False`` (scatter/map) answers on the pipe with
-    ``("ok", result, tel) | ("err", exc, tel)``; ``via_queue=True``
-    (posted tasks) puts a pre-encoded ``(worker_id, status, payload,
-    tel)`` blob on the shared result queue instead.  ``shared_wire`` is
-    an optional pickled tuple of arguments common to several workers
-    (scatter ``shared=``), prepended to ``args`` after decode.
-    ``tel`` is the worker's telemetry snapshot delta (or ``None`` when
-    disabled/empty).
+    Every task is answered on the pipe with ``("ok", result, tel) |
+    ("err", exc, tel)``.  ``shared_wire`` is an optional pickled tuple of
+    arguments common to several workers (scatter ``shared=``), prepended
+    to ``args`` after decode.  ``tel`` is the worker's telemetry snapshot
+    delta (or ``None`` when disabled/empty).
     """
     state: dict = {}
     reg = None
@@ -89,9 +72,9 @@ def _worker_main(
         _telemetry.set_active(reg)
     perf = time.perf_counter
 
-    def encode(payload, via_queue: bool) -> bytes:
+    def encode(payload) -> bytes:
         """Encode a reply; an unencodable *result* fails the task in
-        place (synchronously, keeping pipe/queue protocols in sync)."""
+        place, so the parent still reads exactly one reply."""
         try:
             if reg is not None:
                 t0 = perf()
@@ -104,10 +87,7 @@ def _worker_main(
             return wire
         except Exception as exc:
             err = RuntimeError(f"unencodable result: {exc}")
-            fallback = (
-                (worker_id, "err", err, None) if via_queue else ("err", err, None)
-            )
-            return _dumps(fallback)
+            return _dumps(("err", err, None))
 
     while True:
         try:
@@ -121,7 +101,7 @@ def _worker_main(
             break
         if msg is _SHUTDOWN:
             break
-        fn, args, via_queue, shared_wire = msg
+        fn, args, shared_wire = msg
         try:
             if shared_wire is not None:
                 args = tuple(pickle.loads(shared_wire)) + tuple(args)
@@ -143,10 +123,7 @@ def _worker_main(
         tel = None
         if reg is not None and reg.has_data():
             tel = reg.drain()
-        if not via_queue:
-            conn.send_bytes(encode(reply + (tel,), via_queue=False))
-            continue
-        result_queue.put(encode((worker_id,) + reply + (tel,), via_queue=True))
+        conn.send_bytes(encode(reply + (tel,)))
 
 
 def _map_chunk(state: dict, fn: TaskFn, tasks: list) -> list:
@@ -157,8 +134,6 @@ def _map_chunk(state: dict, fn: TaskFn, tasks: list) -> list:
 class ProcessPoolBackend(ExecutionBackend):
     """Persistent ``multiprocessing`` workers behind the backend contract."""
 
-    crosses_process_boundary = True
-
     #: seconds to wait for a worker to exit cleanly before terminating it
     JOIN_TIMEOUT = 5.0
 
@@ -166,22 +141,18 @@ class ProcessPoolBackend(ExecutionBackend):
         super().__init__(n_workers)
         self._procs: list[mp.Process] = []
         self._conns: list[Connection] = []
-        self._result_queue = None
-        self._posted_counts: list[int] = []
 
     # -- lifecycle ------------------------------------------------------
     def _start_impl(self) -> None:
         ctx = mp.get_context()
-        self._result_queue = ctx.Queue()
-        self._posted_counts = [0] * self.n_workers
         # Workers inherit the parent's telemetry enablement at spawn time;
         # enabling telemetry after the pool starts leaves workers dark.
         telemetry_enabled = _telemetry.enabled()
-        for worker_id in range(self.n_workers):
+        for _ in range(self.n_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._result_queue, worker_id, telemetry_enabled),
+                args=(child_conn, telemetry_enabled),
                 daemon=True,
             )
             proc.start()
@@ -190,22 +161,6 @@ class ProcessPoolBackend(ExecutionBackend):
             self._conns.append(parent_conn)
 
     def _close_impl(self) -> None:
-        # Posted tasks may still be running; drain their results (bounded)
-        # so no worker is wedged mid-put when the shutdown sentinel lands.
-        deadline = time.monotonic() + self.JOIN_TIMEOUT
-        while sum(self._posted_counts):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                blob = self._result_queue.get(timeout=min(remaining, 1.0))
-            except queue_mod.Empty:
-                for w, proc in enumerate(self._procs):
-                    if self._posted_counts[w] and not proc.is_alive():
-                        self._posted_counts[w] = 0
-                continue
-            worker, _status, _payload, _tel = pickle.loads(blob)
-            self._posted_counts[worker] -= 1
         for conn in self._conns:
             try:
                 conn.send_bytes(_dumps(_SHUTDOWN))
@@ -218,12 +173,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 proc.join(timeout=self.JOIN_TIMEOUT)
         for conn in self._conns:
             conn.close()
-        if self._result_queue is not None:
-            self._result_queue.close()
-            self._result_queue.join_thread()
         self._procs, self._conns = [], []
-        self._result_queue = None
-        self._posted_counts = []
 
     # -- wire helpers ---------------------------------------------------
     @staticmethod
@@ -244,13 +194,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self._conns[worker].send_bytes(wire)
 
     def _send_msg(
-        self, worker: int, fn: TaskFn, args: tuple, via_queue: bool, shared_wire=None
+        self, worker: int, fn: TaskFn, args: tuple, shared_wire=None
     ) -> None:
         """Encode + write one message.  Encoding failures raise before
         anything is written (the worker saw nothing)."""
-        self._send_wire(
-            worker, self._encode((fn, tuple(args), via_queue, shared_wire))
-        )
+        self._send_wire(worker, self._encode((fn, tuple(args), shared_wire)))
 
     # -- dispatch -------------------------------------------------------
     @staticmethod
@@ -292,7 +240,7 @@ class ProcessPoolBackend(ExecutionBackend):
         posted, first_err = [], None
         for w, args in zip(workers, per_worker_args):
             try:
-                self._send_msg(w, fn, args, False, shared_wire)
+                self._send_msg(w, fn, args, shared_wire)
             except Exception as exc:
                 # Broken pipe, but also encoding failures: dumps() runs
                 # before writing, so nothing reached the worker — stop
@@ -331,7 +279,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 return False
             start, chunk = entry
             try:
-                self._send_msg(worker_id, _map_chunk, (fn, chunk), False)
+                self._send_msg(worker_id, _map_chunk, (fn, chunk))
             except Exception as exc:
                 # Includes encoding failures: dumps() runs before
                 # writing, so the worker saw nothing — record the error
@@ -358,53 +306,3 @@ class ProcessPoolBackend(ExecutionBackend):
         if first_err is not None:
             raise first_err
         return results
-
-    # -- asynchronous dispatch ------------------------------------------
-    def _post_impl(self, worker: int, fn: TaskFn, args: tuple) -> None:
-        try:
-            self._send_msg(worker, fn, args, True)
-        except Exception as exc:
-            # Broken pipe or encoding failure: dumps() runs before
-            # writing, so the worker saw nothing — the task never counts
-            # as pending.
-            raise WorkerError(worker, exc) from exc
-        self._posted_counts[worker] += 1
-
-    def _post_all_impl(self, fn: TaskFn, args: tuple) -> None:
-        # One encode, n_workers writes of the same bytes: the snapshot in
-        # a weight re-broadcast is serialized once.
-        try:
-            wire = self._encode((fn, tuple(args), True, None))
-        except Exception as exc:
-            raise WorkerError(0, exc) from exc
-        for worker in range(self.n_workers):
-            try:
-                self._send_wire(worker, wire)
-            except Exception as exc:
-                raise WorkerError(worker, exc) from exc
-            self._posted_counts[worker] += 1
-
-    def _next_result_impl(self) -> tuple:
-        while True:
-            try:
-                blob = self._result_queue.get(timeout=1.0)
-            except queue_mod.Empty:
-                # No result yet.  Either a task is still running (keep
-                # waiting) or a worker died mid-task — surface that as a
-                # WorkerError and write off everything posted to it.
-                for w, proc in enumerate(self._procs):
-                    if self._posted_counts[w] and not proc.is_alive():
-                        self._posted_counts[w] = 0
-                        raise WorkerError(
-                            w, RuntimeError("worker died with posted task(s) pending")
-                        ) from None
-                continue
-            worker, status, payload, tel = pickle.loads(blob)
-            self._posted_counts[worker] -= 1
-            self._absorb_telemetry(worker, tel)
-            if status == "err":
-                raise WorkerError(worker, payload) from payload
-            return worker, payload
-
-    def _n_pending_impl(self) -> int:
-        return sum(self._posted_counts)

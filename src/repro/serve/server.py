@@ -19,6 +19,10 @@ The daemon prints exactly one readiness line to stdout::
 
 so callers binding port 0 (tests, CI) can discover the ephemeral port.
 Everything else goes through the ``repro.serve`` logger on stderr.
+
+A request line longer than :data:`MAX_LINE_BYTES` gets one error reply,
+then the daemon closes that connection: the rest of the overlong line
+cannot be told apart from the next request.
 """
 
 from __future__ import annotations
@@ -36,9 +40,13 @@ from repro.telemetry.sink import telemetry_run
 from .protocol import ProtocolError, decode, encode, error_response
 from .service import SchedulerRouter, ServiceError
 
-__all__ = ["ServeDaemon", "serve"]
+__all__ = ["MAX_LINE_BYTES", "ServeDaemon", "serve"]
 
 logger = logging.getLogger("repro.serve")
+
+#: longest accepted request line in bytes, newline excluded (the
+#: stream limit asyncio enforces)
+MAX_LINE_BYTES = 65536
 
 
 class ServeDaemon:
@@ -67,7 +75,13 @@ class ServeDaemon:
         stop_after = False
         try:
             while not stop_after:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran the stream limit
+                    writer.write(encode(error_response(
+                        f"request line exceeds {MAX_LINE_BYTES} bytes")))
+                    await writer.drain()
+                    break
                 if not line:
                     break  # client hung up
                 t0 = perf_counter()
@@ -110,13 +124,17 @@ class ServeDaemon:
                         sig, self.request_stop, signal.Signals(sig).name
                     )
             server = await asyncio.start_server(
-                self._handle, self.config.host, self.config.port
+                self._handle, self.config.host, self.config.port,
+                limit=MAX_LINE_BYTES,
             )
             host, port = server.sockets[0].getsockname()[:2]
-            self.address = (host, port)
             tenants = ", ".join(sorted(self.router.services))
             logger.info("serving tenants [%s] on %s:%s", tenants, host, port)
             print(f"repro-serve listening on {host}:{port}", flush=True)
+            # published after the readiness line, so an in-process caller
+            # that waits on ``address`` never sees that line land in
+            # output it captures afterwards
+            self.address = (host, port)
             try:
                 await self._stop.wait()
             finally:

@@ -100,8 +100,6 @@ def _train_provenance(config: StudyConfig, metric: str) -> dict:
         "max_obsv_size": config.max_obsv_size,
         "use_trajectory_filter": config.use_trajectory_filter,
         "n_jobs": config.n_jobs,
-        "rollout_mode": config.rollout_mode,
-        "staleness": config.staleness,
     }
 
 
@@ -133,13 +131,15 @@ def train_matrix(
             )
             _say(progress,
                  f"{scenario.name}: skipped (checkpoint exists: {checkpoint})")
-            expected = _train_provenance(config, metric)
-            if result.train_meta is not None and result.train_meta != expected:
-                drift = {
-                    k: (result.train_meta.get(k), v)
-                    for k, v in expected.items()
-                    if result.train_meta.get(k) != v
-                }
+            # Drift is judged over the keys recorded today: keys a
+            # checkpoint carries from retired options are not drift.
+            meta = result.train_meta
+            drift = {} if meta is None else {
+                k: (meta.get(k), v)
+                for k, v in _train_provenance(config, metric).items()
+                if meta.get(k) != v
+            }
+            if drift:
                 _say(progress,
                      f"{scenario.name}: warning — checkpoint was trained "
                      f"with different settings {drift} (checkpoint vs "
@@ -152,8 +152,6 @@ def train_matrix(
             seed=config.seed,
             use_trajectory_filter=config.use_trajectory_filter,
             runtime=config.runtime,
-            rollout_mode=config.rollout_mode,
-            staleness=config.staleness,
             # workload size/seed stay the scenario defaults unless the
             # study shrinks them (n_jobs) — the same trace the evaluation
             # cells sample from

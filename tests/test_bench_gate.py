@@ -2,8 +2,8 @@
 
 The gate has four kinds of checks: absolute rollout throughput (gates
 only on comparable hardware), the within-run speedup ratios — rollout
-vectorization, the sparse-vs-dense PPO update, the async actor advantage
-— which gate on every platform, the absolute telemetry-overhead floor
+vectorization and the sparse-vs-dense PPO update — which gate on every
+platform, the absolute telemetry-overhead floor
 (enabled/disabled rollout throughput within one run), and the absolute
 serving wire-layer floor (``serving.served_over_direct``).  These tests pin
 the decision table so the CI step stays a real gate rather than a
@@ -23,8 +23,8 @@ _spec.loader.exec_module(check_regression)
 
 
 def bench_doc(steps_per_sec, speedup, python="3.11.7", cpu_count=4,
-              machine="x86_64", sparse_speedup=3.0, actor_ratio=1.6,
-              telemetry_ratio=0.99, serving_ratio=0.2):
+              machine="x86_64", sparse_speedup=3.0, telemetry_ratio=0.99,
+              serving_ratio=0.2):
     return {
         "scales": {
             "smoke": {
@@ -43,11 +43,6 @@ def bench_doc(steps_per_sec, speedup, python="3.11.7", cpu_count=4,
                 },
                 "serving": {
                     "served_over_direct": serving_ratio,
-                },
-                "runtime": {
-                    "actor": {
-                        "async_over_locked_1w": actor_ratio,
-                    },
                 },
                 "platform": {
                     "python": python,
@@ -146,34 +141,6 @@ class TestSparseSpeedupGate:
         base = bench_doc(30000, 5.0)
         del base["scales"]["smoke"]["ppo_update"]["sparse_speedup"]
         assert gate(base, bench_doc(29000, 5.0, sparse_speedup=2.5)) == 0
-
-
-class TestActorRatioGate:
-    """The async-vs-locked 1-worker ratio lives behind a dotted section
-    path (``runtime.actor``) — pin both the lookup and the gate."""
-
-    def test_dotted_lookup(self):
-        doc = bench_doc(30000, 5.0, actor_ratio=1.7)["scales"]["smoke"]
-        assert check_regression.lookup_ratio(
-            doc, "runtime.actor", "async_over_locked_1w") == 1.7
-        assert check_regression.lookup_ratio(
-            doc, "runtime.missing", "async_over_locked_1w") is None
-        assert check_regression.lookup_ratio(doc, "rollout", "speedup") == 5.0
-
-    def test_actor_collapse_fails_even_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1, actor_ratio=1.6)
-        cur = bench_doc(29000, 5.0, cpu_count=4, actor_ratio=0.7)
-        assert gate(base, cur) == 1
-
-    def test_actor_within_tolerance_passes(self, gate):
-        base = bench_doc(30000, 5.0, actor_ratio=1.6)
-        cur = bench_doc(29000, 5.0, actor_ratio=1.1)  # 31% drop < 40%
-        assert gate(base, cur) == 0
-
-    def test_pre_actor_baseline_skips_check(self, gate):
-        base = bench_doc(30000, 5.0)
-        del base["scales"]["smoke"]["runtime"]
-        assert gate(base, bench_doc(29000, 5.0)) == 0
 
 
 class TestTelemetryFloorGate:

@@ -37,32 +37,6 @@ class TestParser:
                 build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
                                            "--workers", bad])
 
-    def test_rollout_mode_defaults_to_locked(self):
-        args = build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz"])
-        assert args.rollout_mode == "locked"
-        assert args.staleness == 0
-        assert args.stale_mode == "drop"
-        args = build_parser().parse_args(["study"])
-        assert args.rollout_mode == "locked"
-        assert args.staleness == 0
-
-    def test_rollout_mode_flags(self):
-        args = build_parser().parse_args([
-            "train", "Lublin-1", "-o", "m.npz", "--rollout-mode", "async",
-            "--staleness", "2", "--stale-mode", "reweight",
-        ])
-        assert args.rollout_mode == "async"
-        assert args.staleness == 2
-        assert args.stale_mode == "reweight"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
-                                       "--rollout-mode", "sync"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
-                                       "--staleness", "-1"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["study", "--staleness", "-1"])
-
     def test_verbosity_flags_are_global(self):
         args = build_parser().parse_args(["-v", "evaluate", "Lublin-1"])
         assert args.verbose and not args.quiet

@@ -50,23 +50,10 @@ class TestTrainConfig:
         assert cfg.epochs == 100
         assert cfg.trajectories_per_epoch == 100
         assert cfg.trajectory_length == 256
-        # async rollouts are opt-in; the default is the lock-step path
-        assert cfg.rollout_mode == "locked"
-        assert cfg.staleness == 0
-        assert cfg.stale_mode == "drop"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-
-    def test_rollout_mode_validation(self):
-        assert TrainConfig(rollout_mode="async", staleness=2).staleness == 2
-        with pytest.raises(ValueError):
-            TrainConfig(rollout_mode="sync")
-        with pytest.raises(ValueError):
-            TrainConfig(staleness=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(stale_mode="discard")
 
 
 class TestEvalConfig:

@@ -69,6 +69,10 @@ def accept(state, payload):
     return type(payload).__name__
 
 
+def unpicklable(state, *_):
+    return lambda: None
+
+
 @pytest.fixture(params=BACKENDS, ids=lambda c: c.__name__)
 def backend(request):
     with request.param(3) as b:
@@ -137,22 +141,26 @@ class TestDispatch:
                 b.map(square, [1, lambda: None, 3], chunksize=1)
             assert b.map(square, [2, 3]) == [4, 9]
 
+    def test_unpicklable_result_is_a_worker_error(self):
+        # The worker encodes its reply before writing it, so a result that
+        # cannot be pickled comes back as an error reply, not a broken pipe.
+        with ProcessPoolBackend(2) as b:
+            with pytest.raises(WorkerError, match="unencodable result"):
+                b.scatter(unpicklable, [(), ()])
+            assert b.scatter(square, [(5,), (6,)]) == [25, 36]
+            with pytest.raises(WorkerError, match="unencodable result"):
+                b.map(unpicklable, [1, 2, 3], chunksize=1)
+            assert b.map(square, [2, 3]) == [4, 9]
+
 
 class TestSerializeOnce:
     """Arguments common to every worker are pickled once per call and the
-    same bytes go down every pipe — a weight re-broadcast ships one
+    same bytes go down every pipe — a policy broadcast ships one
     snapshot, not one per worker."""
 
     @pytest.fixture(autouse=True)
     def _reset_count(self):
         CountingPayload.pickled = 0
-
-    def test_post_all_single_dumps_on_pipe(self):
-        with ProcessPoolBackend(3) as b:
-            b.post_all(accept, CountingPayload())
-            assert CountingPayload.pickled == 1
-            results = sorted(b.next_result() for _ in range(3))
-            assert results == [(w, "CountingPayload") for w in range(3)]
 
     def test_broadcast_single_dumps_on_pipe(self):
         with ProcessPoolBackend(3) as b:

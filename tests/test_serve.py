@@ -3,9 +3,11 @@ multi-tenant router, asyncio socket daemon, load generator, and graceful
 shutdown (the SIGTERM subprocess test mirrors ``TestNoLeakedWorkers``)."""
 
 import asyncio
+import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -33,6 +35,7 @@ from repro.serve import (
     trace_jobs,
 )
 from repro.serve.protocol import decode, encode, error_response, ok_response
+from repro.serve.server import MAX_LINE_BYTES
 from repro.workloads import Job, SWFTrace, load_trace, write_swf
 
 
@@ -399,6 +402,28 @@ class TestLiveServer:
         with ServeClient(host, port) as client:
             out = client.submit(job, tenant="beta")
             assert out["job"]["job_id"] == job.job_id
+
+    def test_overlong_line_gets_an_error_reply(self, live_server):
+        host, port = live_server.address
+        line = b'{"v": 1, "op": "ping", "pad": "' + b"x" * 70 * 1024 + b'"}\n'
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(line)
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["ok"] is False
+        assert reply["error"] == f"request line exceeds {MAX_LINE_BYTES} bytes"
+        # the daemon survives and serves a fresh connection
+        with ServeClient(host, port) as client:
+            assert client.ping()["ok"]
+
+    def test_line_at_the_limit_is_served(self, live_server):
+        host, port = live_server.address
+        head = b'{"v": 1, "op": "ping", "pad": "'
+        line = head + b"x" * (MAX_LINE_BYTES - len(head) - 2) + b'"}\n'
+        assert len(line) == MAX_LINE_BYTES + 1
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(line)
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["ok"] is True
 
     def test_drain_stop_shuts_daemon_down(self, live_server):
         host, port = live_server.address

@@ -5,6 +5,7 @@ checkpoint resume, the generalization-matrix artifact, serial/process
 bit-equality, and the JSON-strictness of the artifact.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -94,8 +95,6 @@ class TestTrainMatrix:
     def test_resume_with_drifted_config_warns(self, zoo):
         """Restoring a checkpoint trained under different settings must be
         reported — the checkpoint's own provenance stays authoritative."""
-        import dataclasses
-
         _, config, _ = zoo
         drifted = dataclasses.replace(config, epochs=5, seed=9)
         messages = []
@@ -106,6 +105,25 @@ class TestTrainMatrix:
         # the artifact reports how the checkpoint was trained, not the
         # drifted run config
         assert resumed["lublin-64"].result.train_meta["epochs"] == 1
+
+    def test_retired_provenance_keys_are_not_drift(self, zoo, tmp_path):
+        """A checkpoint whose provenance carries keys the study no longer
+        records (the removed rollout options) restores without a warning:
+        drift is judged over the keys recorded today."""
+        from repro.rl.trainer import TrainingResult
+
+        _, config, trained = zoo
+        result = TrainingResult.load(trained["lublin-64"].checkpoint)
+        result.train_meta = dict(result.train_meta, rollout_mode="locked",
+                                 staleness=0)
+        result.save(tmp_path / "lublin-64.npz")
+        messages = []
+        resumed = train_matrix(
+            dataclasses.replace(config, scenarios=("lublin-64",),
+                                zoo_dir=str(tmp_path)),
+            progress=messages.append)
+        assert resumed["lublin-64"].from_checkpoint
+        assert not [m for m in messages if "different settings" in m]
 
     def test_interrupted_save_leaves_no_partial_checkpoint(self, zoo,
                                                            monkeypatch,

@@ -479,8 +479,7 @@ class TestEpochRecordPhaseTimes:
                               entropy=1.0, pi_iters_run=5,
                               early_stopped=False),
             n_rejected=0, wall_time=1.0, filtered_phase=False,
-            phase_times={"rollout": 0.5, "update": 0.3,
-                         "broadcast": 0.01, "validate": 0.1},
+            phase_times={"rollout": 0.5, "update": 0.3, "validate": 0.1},
         )
         restored = EpochRecord.from_dict(rec.to_dict())
         assert restored == rec
@@ -507,9 +506,7 @@ class TestEpochRecordPhaseTimes:
         on = _tiny_train(trace, telemetry=TelemetryConfig(enabled=True,
                                                           summary=False))
         for rec in on.curve:
-            assert set(rec.phase_times) == {
-                "rollout", "update", "broadcast", "validate",
-            }
+            assert set(rec.phase_times) == {"rollout", "update", "validate"}
             assert all(v >= 0 for v in rec.phase_times.values())
 
 

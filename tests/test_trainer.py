@@ -1,10 +1,13 @@
 """Integration tests for the training loop (small scale, seeded)."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro.config import EnvConfig, PPOConfig, TrainConfig
+from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
 from repro.rl import Trainer, train
+from repro.rl.trainer import EpochRecord
 from repro.workloads import load_trace
 
 
@@ -115,6 +118,31 @@ class TestTrainerMechanics:
         np.testing.assert_array_equal(
             loaded.metric_curve(), result.metric_curve())
 
+    def test_epoch_record_loads_parent_format_dicts(self):
+        """Curves saved before the asynchronous rollouts were removed
+        carry two retired counters (and a ``broadcast`` phase); they load,
+        while any other unknown key still fails loudly."""
+        saved = {
+            "epoch": 3, "mean_metric": 41.5, "mean_reward": -41.5,
+            "stats": {"policy_loss": -0.01, "value_loss": 0.2, "kl": 0.004,
+                      "entropy": 1.3, "pi_iters_run": 80,
+                      "early_stopped": False, "kl_last": 0.005},
+            "n_rejected": 2, "wall_time": 4.8, "filtered_phase": True,
+            "val_reward": -39.0,
+            "n_stale_dropped": 0, "n_stale_reweighted": 0,
+            "phase_times": {"rollout": 0.07, "update": 4.6,
+                            "broadcast": 0.0, "validate": 0.1},
+        }
+        record = EpochRecord.from_dict(saved)
+        assert record.epoch == 3 and record.n_rejected == 2
+        assert record.stats.pi_iters_run == 80
+        assert record.phase_times["update"] == 4.6
+        expected = {k: v for k, v in saved.items()
+                    if k not in ("n_stale_dropped", "n_stale_reweighted")}
+        assert record.to_dict() == expected
+        with pytest.raises(TypeError, match="n_unknown"):
+            EpochRecord.from_dict(dict(saved, n_unknown=1))
+
     def test_save_before_train_raises(self, tmp_path):
         from repro.rl.trainer import TrainingResult
 
@@ -172,3 +200,20 @@ class TestLearningSignal:
                     train_config=cfg)
         curve = t.train().metric_curve()
         assert min(curve[2:]) < curve[0]
+
+
+class TestNoLeakedWorkers:
+    def test_exception_mid_training_leaves_no_children(self, trace):
+        """A mid-training exception inside the Trainer context tears the
+        rollout worker processes down instead of leaking them."""
+        config = tiny_train_config(
+            runtime=RuntimeConfig(backend="process", workers=2))
+        with pytest.raises(RuntimeError, match="sentinel"):
+            with Trainer(trace, env_config=TINY_ENV, ppo_config=TINY_PPO,
+                         train_config=config) as t:
+                t.run_epoch(0)
+                assert t.vec_env.backend.started
+                raise RuntimeError("sentinel")
+        for proc in multiprocessing.active_children():
+            proc.join(timeout=10)
+        assert multiprocessing.active_children() == []
